@@ -2,9 +2,8 @@
 // (DESIGN.md §10) on the full engine path (scan -> filter -> count):
 //
 //  - two-conjunct chain at ~5% combined selectivity, a cheap selective
-//    conjunct ahead of an expensive one: `selection_vectors=true`
-//    (short-circuit over the narrowed selection, deferred compaction)
-//    vs the eager evaluate-everything, compact-per-filter baseline;
+//    conjunct ahead of an expensive one (short-circuit over the
+//    narrowed selection, deferred compaction);
 //  - zone-map skipping: a range predicate over a *sorted* date column
 //    that selects ~5% of the rows, zone_maps on vs off (on skips ~95%
 //    of the morsels without touching a row), plus the same predicate
@@ -12,16 +11,16 @@
 //    no-harm case);
 //  - adaptive conjunct reordering: the same two conjuncts written in
 //    the worst order (expensive first) as one adaptive FilterOp vs the
-//    two static orders as stacked single-conjunct filters. The
-//    adaptive arm must track the better static order.
-//  - fused pipelines (DESIGN.md §15): the same worst-order chain
-//    written as *stacked* Filter() calls. Fusion merges the adjacent
+//    two static orders as single-conjunct filters kept apart by a
+//    pass-through projection. The adaptive arm must track the better
+//    static order.
+//  - stacked-filter merge (DESIGN.md §15): the same worst-order chain
+//    written as *stacked* Filter() calls. Lowering merges the adjacent
 //    nodes into one adaptive FilterOp that learns cheap-first across
-//    the original node boundaries; the unfused arm runs two
-//    single-conjunct FilterOps pinned to the written (worst) order.
-//  - sel-aware probe chain: the full filter -> hash probe -> agg hot
-//    path under the selection_vectors ablation — the acceptance shape
-//    for killing Chunk::Compact between scan and result.
+//    the original node boundaries; compare with the static worst order.
+//  - probe chain: the full filter -> hash probe -> agg hot path, which
+//    reads through the selection from scan to result without a
+//    Chunk::Compact.
 //
 // Emitted as BENCH_micro_filter.json by bench/run_micro.sh so the
 // filter-path trajectory is tracked PR over PR.
@@ -52,8 +51,8 @@ const Topology& BenchTopo() {
 }
 
 // Columns: a (uniform, the cheap selective conjunct), b (uniform, fed
-// to the expensive arithmetic conjunct), pay1/pay2 (payload that eager
-// mode must gather-compact), date_sorted (ascending per partition),
+// to the expensive arithmetic conjunct), pay1/pay2 (payload read
+// through the selection), date_sorted (ascending per partition),
 // date_shuffled (same values, shuffled).
 std::unique_ptr<Table> MakeFacts() {
   Schema schema({{"a", LogicalType::kInt64},
@@ -109,38 +108,23 @@ int64_t CountRows(Engine& engine, LogicalPlan plan) {
   return r.num_rows();
 }
 
-Engine& EngineWith(bool selection_vectors, bool zone_maps) {
-  static Engine* engines[4] = {nullptr, nullptr, nullptr, nullptr};
-  const int idx = (selection_vectors ? 1 : 0) + (zone_maps ? 2 : 0);
-  if (engines[idx] == nullptr) {
+Engine& EngineWith(bool zone_maps) {
+  static Engine* engines[2] = {nullptr, nullptr};
+  Engine*& engine = engines[zone_maps ? 1 : 0];
+  if (engine == nullptr) {
     EngineOptions opts;
     opts.morsel_size = 16384;
-    opts.selection_vectors = selection_vectors;
     opts.zone_maps = zone_maps;
-    engines[idx] = new Engine(BenchTopo(), opts);
+    engine = new Engine(BenchTopo(), opts);
   }
-  return *engines[idx];
-}
-
-// §15 ablation: same options as EngineWith(true, true) but one operator
-// per plan node — stacked filters stay separate (and static).
-Engine& UnfusedEngine() {
-  static Engine* engine = [] {
-    EngineOptions opts;
-    opts.morsel_size = 16384;
-    opts.selection_vectors = true;
-    opts.zone_maps = true;
-    opts.fused_pipelines = false;
-    return new Engine(BenchTopo(), opts);
-  }();
   return *engine;
 }
 
-// --- two-conjunct chain: selection vectors vs eager compaction -------------
+// --- two-conjunct chain ----------------------------------------------------
 
-void ConjunctChainBench(benchmark::State& state, bool selection_vectors) {
+void BM_FilterChainSelVec(benchmark::State& state) {
   const Table* facts = Facts();  // build the table outside the timing
-  Engine& engine = EngineWith(selection_vectors, /*zone_maps=*/true);
+  Engine& engine = EngineWith(/*zone_maps=*/true);
   int64_t out = 0;
   for (auto _ : state) {
     PlanBuilder pb = PlanBuilder::Scan(
@@ -154,18 +138,11 @@ void ConjunctChainBench(benchmark::State& state, bool selection_vectors) {
   state.counters["out_rows"] = static_cast<double>(out);
 }
 
-void BM_FilterChainSelVec(benchmark::State& s) {
-  ConjunctChainBench(s, /*selection_vectors=*/true);
-}
-void BM_FilterChainEager(benchmark::State& s) {
-  ConjunctChainBench(s, /*selection_vectors=*/false);
-}
-
 // --- zone-map morsel skipping ----------------------------------------------
 
 void ZoneMapBench(benchmark::State& state, bool zone_maps, bool sorted) {
   const Table* facts = Facts();
-  Engine& engine = EngineWith(/*selection_vectors=*/true, zone_maps);
+  Engine& engine = EngineWith(zone_maps);
   const char* date_col = sorted ? "date_sorted" : "date_shuffled";
   // ~5% of the key domain: with sorted dates and 16k-row morsels, zone
   // maps rule out ~95% of the morsels outright.
@@ -198,21 +175,24 @@ void BM_ZoneMapShuffledOff(benchmark::State& s) {
 
 // --- adaptive conjunct order vs static orders ------------------------------
 //
-// Static orders are expressed as stacked single-conjunct filters (a
-// single-conjunct FilterOp has nothing to reorder); the adaptive arm is
-// one FilterOp handed the conjunction in the WORST order and must learn
-// the good one from its cost x selectivity counters within the first
-// re-rank interval. The static arms run on the unfused engine: §15
-// fusion would merge the stacked nodes into one adaptive FilterOp and
-// they would stop being static (that comparison is BM_FusedChain*).
+// Static orders are expressed as single-conjunct filters (a
+// single-conjunct FilterOp has nothing to reorder) with a pass-through
+// projection between them: lowering merges only *adjacent* Filter()
+// nodes (§15), and a column-reference projection forwards its vectors
+// zero-copy. The adaptive arm is one FilterOp handed the conjunction in
+// the WORST order and must learn the good one from its cost x
+// selectivity counters within the first re-rank interval.
 
 enum class Order { kAdaptiveWorstFirst, kStaticBest, kStaticWorst };
 
+void StaticChain(PlanBuilder& pb, ExprPtr first, ExprPtr second) {
+  pb.Filter(std::move(first));
+  pb.Project(NE("a", pb.Col("a")), NE("b", pb.Col("b")));
+  pb.Filter(std::move(second));
+}
+
 void OrderBench(benchmark::State& state, Order order) {
-  Engine& engine = order == Order::kAdaptiveWorstFirst
-                       ? EngineWith(/*selection_vectors=*/true,
-                                    /*zone_maps=*/true)
-                       : UnfusedEngine();
+  Engine& engine = EngineWith(/*zone_maps=*/true);
   int64_t out = 0;
   for (auto _ : state) {
     PlanBuilder pb = PlanBuilder::Scan(Facts(), {"a", "b"});
@@ -221,12 +201,10 @@ void OrderBench(benchmark::State& state, Order order) {
         pb.Filter(And(ExpensiveConjunct(pb), CheapConjunct(pb)));
         break;
       case Order::kStaticBest:
-        pb.Filter(CheapConjunct(pb));
-        pb.Filter(ExpensiveConjunct(pb));
+        StaticChain(pb, CheapConjunct(pb), ExpensiveConjunct(pb));
         break;
       case Order::kStaticWorst:
-        pb.Filter(ExpensiveConjunct(pb));
-        pb.Filter(CheapConjunct(pb));
+        StaticChain(pb, ExpensiveConjunct(pb), CheapConjunct(pb));
         break;
     }
     pb.CollectResult();
@@ -247,21 +225,16 @@ void BM_ConjunctOrderStaticWorst(benchmark::State& s) {
   OrderBench(s, Order::kStaticWorst);
 }
 
-// --- fused vs unfused stacked-filter chain (DESIGN.md §15) -----------------
+// --- stacked-filter merge (DESIGN.md §15) ----------------------------------
 //
-// The same worst-order chain as kStaticWorst, but compared across the
-// fused_pipelines ablation instead of across conjunct orders. Fusion
-// merges the two adjacent Filter() nodes into ONE adaptive FilterOp, so
-// the chain can learn cheap-first across the original node boundary;
-// the unfused engine keeps one single-conjunct FilterOp per node and is
-// stuck evaluating the expensive conjunct over every row. CI asserts
-// the fused arm is never slower than 1.1x the unfused arm.
+// The same worst-order chain as kStaticWorst, written as two adjacent
+// Filter() nodes. Lowering merges them into ONE adaptive FilterOp, so
+// the chain learns cheap-first across the original node boundary
+// instead of evaluating the expensive conjunct over every row.
 
-void FusedChainBench(benchmark::State& state, bool fused) {
+void BM_StackedFilterMerge(benchmark::State& state) {
   const Table* facts = Facts();
-  Engine& engine =
-      fused ? EngineWith(/*selection_vectors=*/true, /*zone_maps=*/true)
-            : UnfusedEngine();
+  Engine& engine = EngineWith(/*zone_maps=*/true);
   int64_t out = 0;
   for (auto _ : state) {
     PlanBuilder pb = PlanBuilder::Scan(facts, {"a", "b", "pay1", "pay2"});
@@ -275,21 +248,12 @@ void FusedChainBench(benchmark::State& state, bool fused) {
   state.counters["out_rows"] = static_cast<double>(out);
 }
 
-void BM_FusedChainOn(benchmark::State& s) {
-  FusedChainBench(s, /*fused=*/true);
-}
-void BM_FusedChainOff(benchmark::State& s) {
-  FusedChainBench(s, /*fused=*/false);
-}
-
-// --- sel-aware probe chain vs compact-then-probe ---------------------------
+// --- probe chain -----------------------------------------------------------
 //
-// The acceptance shape for the §15 hot path: scan -> filter (~3.5%
-// combined) -> hash probe -> global agg -> result. With selection
-// vectors on, no operator between the scan and the result ever calls
-// Chunk::Compact (tests/selection_vector_test.cc counter-asserts this);
-// the eager arm evaluates every conjunct over every row and
-// gather-compacts all four scan columns before the probe sees a chunk.
+// The §15 hot path: scan -> filter (~3.5% combined) -> hash probe ->
+// global agg -> result. No operator between the scan and the result
+// calls Chunk::Compact (tests/selection_vector_test.cc counter-asserts
+// this).
 
 std::unique_ptr<Table> MakeDim() {
   Schema schema({{"dk", LogicalType::kInt64}, {"dv", LogicalType::kInt64}});
@@ -308,10 +272,10 @@ const Table* Dim() {
   return t;
 }
 
-void ProbeChainBench(benchmark::State& state, bool selection_vectors) {
+void BM_ProbeChainSelVec(benchmark::State& state) {
   const Table* facts = Facts();
   const Table* dim = Dim();
-  Engine& engine = EngineWith(selection_vectors, /*zone_maps=*/true);
+  Engine& engine = EngineWith(/*zone_maps=*/true);
   int64_t out = 0;
   for (auto _ : state) {
     PlanBuilder d = PlanBuilder::Scan(dim, {"dk", "dv"});
@@ -331,17 +295,9 @@ void ProbeChainBench(benchmark::State& state, bool selection_vectors) {
   state.counters["out_rows"] = static_cast<double>(out);
 }
 
-void BM_ProbeChainSelVec(benchmark::State& s) {
-  ProbeChainBench(s, /*selection_vectors=*/true);
-}
-void BM_ProbeChainEager(benchmark::State& s) {
-  ProbeChainBench(s, /*selection_vectors=*/false);
-}
-
 // UseRealTime: the engine parallelizes across worker threads, so the
 // meaningful rate is wall-clock rows/s, not main-thread CPU.
 BENCHMARK(BM_FilterChainSelVec)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_FilterChainEager)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ZoneMapSortedOn)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ZoneMapSortedOff)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ZoneMapShuffledOn)
@@ -359,10 +315,8 @@ BENCHMARK(BM_ConjunctOrderStaticBest)
 BENCHMARK(BM_ConjunctOrderStaticWorst)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(BM_FusedChainOn)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_FusedChainOff)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_StackedFilterMerge)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ProbeChainSelVec)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_ProbeChainEager)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace morsel

@@ -5,14 +5,12 @@
 //    (tags should make misses ~free)
 //  - ablation: two-phase perfectly-sized build vs a dynamically grown
 //    chaining table (the design §4.1 argues against)
-//  - probe-pipeline throughput of the full HashProbeOp, row-at-a-time
-//    scalar vs staged batched+prefetched (DESIGN.md §5), on a build side
-//    that far exceeds LLC size
-//  - sel-aware probe vs compact-then-probe (DESIGN.md §10/§15): chunks
-//    arriving with a sparse selection (~6% of rows survive an upstream
-//    filter), probed in place through the selection vs gather-compacted
-//    first. The sel arm must win: compaction touches every payload
-//    column for rows the probe is about to consume anyway.
+//  - probe-pipeline throughput of the full HashProbeOp, staged batched+
+//    prefetched (DESIGN.md §5), on a build side that far exceeds LLC
+//    size
+//  - sel-aware probe (DESIGN.md §10/§15): chunks arriving with a sparse
+//    selection (~6% of rows survive an upstream filter), probed in
+//    place through the selection
 
 #include <benchmark/benchmark.h>
 
@@ -205,12 +203,11 @@ void BM_ProbeBloomFiltered(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeBloomFiltered)->Arg(100)->Arg(50)->Arg(10)->Arg(1);
 
-// --- probe-pipeline throughput: scalar vs batched ---------------------------
+// --- probe-pipeline throughput -----------------------------------------------
 //
 // Exercises the real HashProbeOp (key compare, candidate flush, payload
 // gather, traffic accounting) against a build side far larger than any
-// LLC, so every chain step is a memory access. This is the acceptance
-// benchmark for the staged probe pipeline: batched must beat scalar.
+// LLC, so every chain step is a memory access.
 
 constexpr int64_t kBigBuild = 1 << 23;  // 8M tuples, ~384 MB + 128 MB table
 
@@ -270,11 +267,10 @@ struct CountRowsSink : Sink {
   void Consume(Chunk& c, ExecContext&) override { rows += c.n; }
 };
 
-void ProbePipelineBench(benchmark::State& state, bool batched) {
+void BM_ProbePipelineBatched(benchmark::State& state) {
   ProbePipelineFixture& f = SharedProbeFixture();
   ExecContext ctx;
   ctx.worker = &f.wctx;
-  ctx.batched_probe = batched;
 
   CountRowsSink sink;
   std::vector<std::unique_ptr<Operator>> ops;
@@ -297,25 +293,16 @@ void ProbePipelineBench(benchmark::State& state, bool batched) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_ProbePipelineScalar(benchmark::State& state) {
-  ProbePipelineBench(state, /*batched=*/false);
-}
-void BM_ProbePipelineBatched(benchmark::State& state) {
-  ProbePipelineBench(state, /*batched=*/true);
-}
-BENCHMARK(BM_ProbePipelineScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProbePipelineBatched)->Unit(benchmark::kMillisecond);
 
-// --- sel-aware probe vs compact-then-probe ----------------------------------
+// --- sel-aware probe --------------------------------------------------------
 //
 // An upstream filter has narrowed each chunk to every 16th row (~6%,
-// the <=10% selectivity regime of the acceptance target). With
-// selection vectors on, HashProbeOp hashes and probes only the selected
-// rows in place; with them off it models the pre-§15 hot path — gather-
-// compact the key plus all four payload columns into the arena, then
-// probe dense. The build side is small enough to stay cache-resident so
-// the per-chunk compaction cost is not hidden behind memory-bound chain
-// walks (which is exactly where the eager engine was losing time).
+// the <=10% selectivity regime). HashProbeOp hashes and probes only the
+// selected rows in place, carrying four payload columns it never
+// compacts. The build side is small enough to stay cache-resident so
+// the per-chunk selection handling is not hidden behind memory-bound
+// chain walks.
 
 constexpr int64_t kSmallBuild = 1 << 16;  // 64k tuples, LLC-resident
 
@@ -377,11 +364,10 @@ SelProbeFixture& SharedSelProbeFixture() {
   return *f;
 }
 
-void SelProbeBench(benchmark::State& state, bool selection_vectors) {
+void BM_ProbePipelineSelChain(benchmark::State& state) {
   SelProbeFixture& f = SharedSelProbeFixture();
   ExecContext ctx;
   ctx.worker = &f.wctx;
-  ctx.selection_vectors = selection_vectors;
 
   CountRowsSink sink;
   std::vector<std::unique_ptr<Operator>> ops;
@@ -410,14 +396,7 @@ void SelProbeBench(benchmark::State& state, bool selection_vectors) {
   state.SetItemsProcessed(state.iterations() * (n / 16));
 }
 
-void BM_ProbePipelineSelChain(benchmark::State& state) {
-  SelProbeBench(state, /*selection_vectors=*/true);
-}
-void BM_ProbePipelineCompactChain(benchmark::State& state) {
-  SelProbeBench(state, /*selection_vectors=*/false);
-}
 BENCHMARK(BM_ProbePipelineSelChain)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProbePipelineCompactChain)->Unit(benchmark::kMillisecond);
 
 // Ablation: growing a standard chaining map while inserting, vs. the
 // two-phase materialize-then-perfect-size build above.

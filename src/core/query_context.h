@@ -150,9 +150,6 @@ class QueryContext {
     fault_injector_ = std::move(fi);
   }
 
-  bool interrupt_checkpoints() const { return interrupt_checkpoints_; }
-  void set_interrupt_checkpoints(bool on) { interrupt_checkpoints_ = on; }
-
   // --- aggregated per-query scheduling stats ---------------------------
   std::atomic<uint64_t> morsels_run{0};
   std::atomic<uint64_t> morsels_stolen{0};
@@ -167,7 +164,6 @@ class QueryContext {
   std::atomic<int64_t> deadline_ns_{0};
   MemoryTracker memory_tracker_{0};
   std::unique_ptr<FaultInjector> fault_injector_;
-  bool interrupt_checkpoints_ = true;
 
   std::atomic<bool> errored_{false};
 

@@ -36,6 +36,9 @@ enum class PreparedStalePolicy {
 //  - "non-adaptive"          : static_division=true, tagging=false
 //  - Volcano emulation       : static division + NUMA-oblivious + no
 //                              stealing ("we set the morsel size to n/t")
+// The staged join probe (DESIGN §5), selection-vector filters (§10),
+// interrupt checkpoints (§11) and filter merging (§15) are not options:
+// every engine runs them.
 struct EngineOptions {
   int num_workers = 0;        // 0 = one per virtual core
   uint64_t morsel_size = 100000;  // §3.3 default
@@ -44,21 +47,6 @@ struct EngineOptions {
   bool steal = true;          // cross-socket work stealing
   bool closest_first = true;  // distance-ordered stealing
   bool tagging = true;        // §4.2 hash-table pointer tags
-  bool batched_probe = true;  // staged, prefetch-pipelined join probe;
-                              // false = row-at-a-time ablation baseline
-  // Selection-vector filter execution (DESIGN.md §10): conjuncts after
-  // the first evaluate surviving rows only and column compaction is
-  // deferred to the consumer. false = the eager evaluate-everything,
-  // compact-per-filter baseline.
-  bool selection_vectors = true;
-  // Fused chunk-resident pipelines (DESIGN §15): lowering merges
-  // adjacent Filter nodes into one multi-conjunct FilterOp (adaptive
-  // reordering then ranks conjuncts *across* the original filter
-  // boundaries) and wraps every >=2-op operator chain into a single
-  // FusedPipelineOp that runs the whole chain over one resident chunk
-  // with one interrupt checkpoint per pass. false = the op-by-op push
-  // chain (the differential-test ablation arm).
-  bool fused_pipelines = true;
   // Per-morsel zone-map consultation on scans: SARGable conjuncts skip
   // morsels their min/max rule out and drop out of fully-accepted
   // morsels. false = scan every morsel wholesale.
@@ -115,11 +103,6 @@ struct EngineOptions {
   // Enforced at dispatcher hand-out and at interrupt checkpoints
   // (StatusCode::kDeadlineExceeded). Query::SetDeadline overrides.
   int64_t deadline_ms = 0;
-  // Chunk-granularity cancellation/deadline checkpoints inside long
-  // jobs (merge-join partition joins, sorts, hash builds): cancellation
-  // latency becomes chunk-length instead of morsel-length. false = the
-  // morsel-boundary-only baseline (bench ablation).
-  bool interrupt_checkpoints = true;
   // Deterministic per-query fault injection for chaos testing
   // (common/fault_injector.h); disabled by default.
   FaultInjectionOptions fault_injection;

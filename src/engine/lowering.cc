@@ -8,7 +8,6 @@
 #include "engine/query.h"
 #include "exec/aggregation.h"
 #include "exec/exchange.h"
-#include "exec/fused.h"
 #include "exec/hash_join.h"
 #include "exec/merge_join.h"
 #include "exec/operators.h"
@@ -562,18 +561,13 @@ void Lowering::LowerFilter(const LogicalNode* n, OpenPipe& pipe) {
     pipe.pending_conjuncts.push_back(std::move(c));
   }
   // The first contributing node's plan-owned slot persists the learned
-  // order; a fused merge re-uses it for the merged conjunct list (the
-  // conjunct count keys validation, so fused and unfused executions of
-  // the same plan never adopt each other's words by accident).
+  // order for the merged conjunct list. Nothing is flushed here:
+  // adjacent kFilter nodes merge into one FilterOp whose adaptive
+  // reordering ranks conjuncts across the original filter boundaries.
   if (pipe.pending_persist == nullptr &&
       n->learned_conjunct_order != nullptr) {
     pipe.pending_persist = n->learned_conjunct_order.get();
   }
-  // Fused mode keeps accumulating: adjacent kFilter nodes merge into
-  // one FilterOp whose adaptive reordering ranks conjuncts across the
-  // original filter boundaries. Unfused mode closes each node out
-  // immediately (the differential ablation arm, op-per-node shape).
-  if (!engine_->options().fused_pipelines) FlushPendingFilter(pipe);
   // Generic selectivity guess; filtering preserves row order, so the
   // per-column sortedness statistics stand.
   pipe.est_rows *= kFilterSelectivity;
@@ -761,18 +755,6 @@ int Lowering::ClosePipe(OpenPipe& pipe, Sink* sink,
   MORSEL_CHECK_MSG(pipe.source != nullptr, "pipeline already closed");
   FlushPendingFilter(pipe);
   const EngineOptions& opts = engine_->options();
-  if (opts.fused_pipelines && pipe.ops.size() >= 2) {
-    // Fuse the whole intra-pipeline operator run (DESIGN §15): the
-    // chain executes chunk-resident through one FusedPipelineOp with a
-    // single interrupt checkpoint per pass; per-stage row counters are
-    // preserved on the fused op. The sink's stage name joins the label
-    // so ExplainPlan reads "[fused: filter+probe+agg-phase1]".
-    auto fused = std::make_unique<FusedPipelineOp>(std::move(pipe.ops));
-    if (!pipe.pending_info.empty()) pipe.pending_info += ' ';
-    pipe.pending_info += "[fused: " + fused->label() + "+" + name + "]";
-    pipe.ops.clear();
-    pipe.ops.push_back(std::move(fused));
-  }
   auto pipeline = std::make_unique<Pipeline>(std::move(pipe.source),
                                              std::move(pipe.ops), sink);
   std::string full_name =
@@ -781,12 +763,11 @@ int Lowering::ClosePipe(OpenPipe& pipe, Sink* sink,
   auto job = std::make_unique<ExecPipelineJob>(
       query_->context(), std::move(full_name), std::move(pipeline),
       engine_->queue_options(), opts.tagging,
-      opts.static_division ? engine_->num_workers() : 0,
-      opts.batched_probe, opts.selection_vectors);
+      opts.static_division ? engine_->num_workers() : 0);
   int id = EmitJob(std::move(job), std::move(pipe.deps));
   if (!pipe.pending_info.empty()) {
-    // Plan-time annotations for this pipeline ("[warm-conjunct-order]",
-    // "[fused: ...]"); runtime info appends after these (pipeline.cc).
+    // Plan-time annotations for this pipeline ("[warm-conjunct-order]");
+    // runtime info appends after these (pipeline.cc).
     query_->job(id)->set_info(std::move(pipe.pending_info));
     pipe.pending_info.clear();
   }

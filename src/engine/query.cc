@@ -14,7 +14,6 @@ Query::Query(Engine* engine, int id, double priority)
   context_.set_num_worker_slots(engine->pool()->num_worker_slots());
   const EngineOptions& opts = engine->options();
   context_.set_memory_budget(opts.memory_budget_bytes);
-  context_.set_interrupt_checkpoints(opts.interrupt_checkpoints);
   if (opts.fault_injection.enabled) {
     context_.set_fault_injector(
         std::make_unique<FaultInjector>(opts.fault_injection));

@@ -73,10 +73,11 @@ struct Chunk {
   void Compact(Arena* arena);
 
   // Process-wide count of Compact() calls that actually gathered (i.e.
-  // the chunk carried a selection). Every consumer on the filter→probe→
-  // agg→result hot path is sel-aware, so with selection_vectors enabled
-  // this must not move during query execution — regression tests pin
-  // that by sampling the counter around Execute().
+  // the chunk carried a selection). No engine operator calls Compact:
+  // every consumer reads through `sel` (DESIGN §10 "who compacts"), so
+  // this must not move during query execution. Regression tests and the
+  // end-to-end benchmark's exec.compact_calls pin that by sampling the
+  // counter around Execute().
   static int64_t CompactCalls() {
     return compact_calls_.load(std::memory_order_relaxed);
   }

@@ -45,8 +45,8 @@ class SargAcceptMask {
 // ExecContext (local sort runs, k-way merge parts): throws QueryAbort —
 // caught at the worker/Finalize boundary — when `q` is cancelled,
 // errored, or past its deadline, and applies any injected worker stall.
-// No-op when q is null or checkpoints are disabled. Callers poll at
-// chunk-ish granularity (~1k rows); see DESIGN §11 for placement rules.
+// No-op when q is null. Callers poll at chunk-ish granularity (~1k
+// rows); see DESIGN §11 for placement rules.
 void CheckQueryInterrupt(QueryContext* q);
 
 // Per-worker, per-job execution state threaded through operators.
@@ -57,12 +57,12 @@ struct ExecContext {
 
   // Chunk-granularity cancellation checkpoint (DESIGN §11): one relaxed
   // load on the fast path, deadline/injector work every 64th call.
-  // Throws QueryAbort like CheckQueryInterrupt. Long jobs whose morsels
-  // are partition-sized monoliths (merge-join partition joins, sorts,
-  // hash builds) call this so cancellation latency is chunk-length, not
-  // morsel-length.
+  // Throws QueryAbort like CheckQueryInterrupt. Pipeline::Push calls it
+  // once per source chunk; long jobs whose morsels are partition-sized
+  // monoliths (merge-join partition joins, sorts, hash builds) call it
+  // too, so cancellation latency is chunk-length, not morsel-length.
   void CheckInterrupt() {
-    if (query == nullptr || !query->interrupt_checkpoints()) return;
+    if (query == nullptr) return;
     if (query->cancelled() || (++interrupt_ticks_ & 0x3F) == 0) {
       CheckQueryInterrupt(query);
     }
@@ -76,13 +76,7 @@ struct ExecContext {
   // ExecPipelineJob::Finalize. No atomics on the hot path.
   int64_t rows_to_sink = 0;
 
-  // Engine-level toggles relevant to operators.
-  bool use_tagging = true;    // §4.2 pointer-tag early filtering
-  bool batched_probe = true;  // staged, prefetch-pipelined join probe
-                              // (DESIGN.md §5); false = row-at-a-time
-  bool selection_vectors = true;  // lazy sel-vector filters (DESIGN.md
-                                  // §10); false = eager per-filter
-                                  // compaction
+  bool use_tagging = true;  // §4.2 pointer-tag early filtering
 
   // Per-morsel zone-map verdicts (DESIGN.md §10): bit `s` set means the
   // scan proved every row of the current morsel satisfies the conjunct

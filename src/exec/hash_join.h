@@ -144,7 +144,6 @@ class HashProbeOp final : public Operator {
 
   void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                int self_index) override;
-  const char* Name() const override { return "probe"; }
 
   // In-flight probes of the batched pipeline's chain-walking stage. Large
   // enough to overlap the latency of a memory access with useful work on
@@ -153,12 +152,6 @@ class HashProbeOp final : public Operator {
   static constexpr int kProbeWindow = 16;
 
  private:
-  // Row-at-a-time probe loop (the pre-batching baseline, kept as the
-  // `batched_probe=false` ablation arm).
-  void ProbeScalar(const Chunk& chunk, const uint64_t* hashes,
-                   uint8_t* matched, ExecContext& ctx, Pipeline& pipeline,
-                   int self_index);
-
   // Staged, chunk-batched probe (DESIGN.md §5): (1) prefetch all slots,
   // (2) bulk tag-filter chain heads and prefetch survivors, (3) walk the
   // surviving chains in a kProbeWindow-wide state machine so chain-node

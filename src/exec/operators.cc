@@ -168,8 +168,8 @@ void FilterOp::Rerank() {
   }
 }
 
-void FilterOp::ProcessSelection(Chunk& chunk, ExecContext& ctx,
-                                Pipeline& pipeline, int self_index) {
+void FilterOp::Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
+                       int self_index) {
   const uint64_t order = order_.load(std::memory_order_relaxed);
   // Cost x selectivity observations only matter when there is an order
   // to learn, and 1-in-8 chunks is plenty of signal: single-conjunct
@@ -227,56 +227,6 @@ void FilterOp::ProcessSelection(Chunk& chunk, ExecContext& ctx,
   chunk.sel = sel;
   chunk.sel_n = sel != nullptr ? active : 0;
   pipeline.Push(chunk, self_index + 1, ctx);
-}
-
-void FilterOp::ProcessEager(Chunk& chunk, ExecContext& ctx,
-                            Pipeline& pipeline, int self_index) {
-  // Seed behavior: every conjunct evaluates over all rows, then one
-  // gather-compaction of every column. Chunks are always dense in this
-  // mode (FilterOp is the only producer of selections).
-  MORSEL_DCHECK(chunk.dense());
-  int32_t* merged = nullptr;
-  for (size_t c = 0; c < conjuncts_.size(); ++c) {
-    const int slot = sarg_slots_[c];
-    if (slot >= 0 && ctx.sarg_accept_mask.Test(slot)) continue;
-    Vector flags;
-    conjuncts_[c]->Eval(chunk, ctx, &flags);
-    const int32_t* f = flags.i32();
-    if (merged == nullptr) {
-      merged = ctx.arena.AllocArray<int32_t>(chunk.n);
-      for (int i = 0; i < chunk.n; ++i) merged[i] = f[i] != 0;
-    } else {
-      for (int i = 0; i < chunk.n; ++i) merged[i] &= f[i] != 0;
-    }
-  }
-  if (merged == nullptr) {  // every conjunct zone-accepted
-    pipeline.Push(chunk, self_index + 1, ctx);
-    return;
-  }
-  int passed = 0;
-  for (int i = 0; i < chunk.n; ++i) passed += merged[i];
-  if (passed == chunk.n) {
-    pipeline.Push(chunk, self_index + 1, ctx);
-    return;
-  }
-  if (passed == 0) return;
-  int32_t* idx = ctx.arena.AllocArray<int32_t>(passed);
-  int out = 0;
-  for (int i = 0; i < chunk.n; ++i) {
-    if (merged[i] != 0) idx[out++] = i;
-  }
-  Chunk compacted;
-  GatherChunk(chunk, idx, passed, &ctx.arena, &compacted);
-  pipeline.Push(compacted, self_index + 1, ctx);
-}
-
-void FilterOp::Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
-                       int self_index) {
-  if (ctx.selection_vectors) {
-    ProcessSelection(chunk, ctx, pipeline, self_index);
-  } else {
-    ProcessEager(chunk, ctx, pipeline, self_index);
-  }
 }
 
 MapOp::MapOp(std::vector<ExprPtr> exprs) : exprs_(std::move(exprs)) {}

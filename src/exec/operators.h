@@ -44,18 +44,12 @@ const uint64_t* HashRowsPacked(const Chunk& chunk,
 // --- basic operators ---------------------------------------------------------
 
 // Drops rows that fail a conjunction of predicates (int32 0/1
-// expressions). Two execution modes (ExecContext::selection_vectors):
-//
-//  - selection-vector mode (default): the chunk's `sel` is narrowed in
-//    place, conjunct by conjunct, so conjuncts after the first evaluate
-//    only the rows still alive (AND short-circuit) and column
-//    compaction is deferred to whichever consumer needs dense data.
-//    Per-conjunct cost x selectivity counters feed a periodic re-rank,
-//    so the cheapest-per-dropped-row conjunct runs first regardless of
-//    the order the query author wrote.
-//  - eager mode (`selection_vectors=false` ablation, the seed
-//    behavior): every conjunct evaluates over all rows, the flags are
-//    AND-merged, and all columns gather-compact once per FilterOp.
+// expressions). The chunk's `sel` is narrowed in place, conjunct by
+// conjunct, so conjuncts after the first evaluate only the rows still
+// alive (AND short-circuit) and column compaction is deferred to
+// whichever consumer needs dense data. Per-conjunct cost x selectivity
+// counters feed a periodic re-rank, so the cheapest-per-dropped-row
+// conjunct runs first regardless of the order the query author wrote.
 //
 // A conjunct may carry a zone-map slot (engine/lowering.h): when the
 // scan's per-morsel zone check proved the morsel satisfies that
@@ -74,7 +68,6 @@ class FilterOp final : public Operator {
            std::atomic<uint64_t>* persist_order = nullptr);
   void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                int self_index) override;
-  const char* Name() const override { return "filter"; }
 
   // The current packed evaluation order (conjunct index at rank r is
   // byte r) — exposed for explain/regression tests.
@@ -95,10 +88,6 @@ class FilterOp final : public Operator {
   static constexpr uint64_t kMinRowsForRerank = 4096;
 
  private:
-  void ProcessSelection(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
-                        int self_index);
-  void ProcessEager(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
-                    int self_index);
   void Rerank();
 
   struct ConjunctStats {
@@ -130,7 +119,6 @@ class MapOp final : public Operator {
   explicit MapOp(std::vector<ExprPtr> exprs);
   void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                int self_index) override;
-  const char* Name() const override { return "project"; }
 
  private:
   std::vector<ExprPtr> exprs_;

@@ -2,19 +2,26 @@
 
 namespace morsel {
 
+void Pipeline::Push(Chunk& chunk, size_t from_op, ExecContext& ctx) {
+  if (from_op == 0) ctx.CheckInterrupt();
+  if (chunk.ActiveRows() == 0) return;
+  if (from_op == ops_.size()) {
+    ctx.rows_to_sink += chunk.ActiveRows();
+    sink_->Consume(chunk, ctx);
+    return;
+  }
+  ops_[from_op]->Process(chunk, ctx, *this, static_cast<int>(from_op));
+}
+
 ExecPipelineJob::ExecPipelineJob(QueryContext* query, std::string name,
                                  std::unique_ptr<Pipeline> pipeline,
                                  MorselQueue::Options queue_opts,
                                  bool use_tagging,
-                                 int static_division_workers,
-                                 bool batched_probe,
-                                 bool selection_vectors)
+                                 int static_division_workers)
     : PipelineJob(query, std::move(name)),
       pipeline_(std::move(pipeline)),
       queue_opts_(queue_opts),
       use_tagging_(use_tagging),
-      batched_probe_(batched_probe),
-      selection_vectors_(selection_vectors),
       static_division_workers_(static_division_workers) {
   contexts_.resize(query->num_worker_slots());
 }
@@ -41,8 +48,6 @@ ExecContext& ExecPipelineJob::LocalContext(WorkerContext& wctx) {
     slot->worker = &wctx;
     slot->query = query();
     slot->use_tagging = use_tagging_;
-    slot->batched_probe = batched_probe_;
-    slot->selection_vectors = selection_vectors_;
   }
   return *slot;
 }

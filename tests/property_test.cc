@@ -164,17 +164,10 @@ struct RandomPlanSpec {
   bool runtime_feedback = true;
   bool prepared = false;
   bool second_join = false;
-  // Selection-vector / zone-map dimensions: the tested engine draws the
-  // lazy-filter ablation flag, and `range_filter` adds a SARGable
-  // range predicate on pv — ascending per partition, so zone maps
-  // actually skip morsels (the reference always runs eager, zone-off).
-  bool selection_vectors = true;
+  // Zone-map dimension: `range_filter` adds a SARGable range predicate
+  // on pv — ascending per partition, so zone maps actually skip morsels
+  // (the reference runs with zone maps off).
   bool range_filter = false;
-  // Fused operator spine (DESIGN §15): the tested engine draws whether
-  // eligible operator runs collapse into one FusedPipelineOp (adjacent
-  // filters merging into a single adaptive conjunct chain); the
-  // reference always lowers one operator per node.
-  bool fused_pipelines = true;
   // Adaptive group-by dimensions (DESIGN §13): the tested engine draws
   // the adaptive_agg ablation flag and sometimes forces the radix arm
   // outright (switch_ratio=0); the reference always runs the fixed
@@ -226,7 +219,7 @@ RandomPlanSpec DrawSpec(uint64_t seed) {
   s.runtime_feedback = rng.Bernoulli(0.5);
   s.prepared = rng.Bernoulli(0.5);
   s.second_join = rng.Bernoulli(0.35);
-  s.selection_vectors = rng.Bernoulli(0.5);
+  rng.Bernoulli(0.5);  // retired selection-vector draw: keeps seed shapes
   s.range_filter = rng.Bernoulli(0.5);
   // Drawn after every pre-existing dimension so earlier seeds keep
   // their established shapes.
@@ -240,9 +233,7 @@ RandomPlanSpec DrawSpec(uint64_t seed) {
   s.probe_dist = static_cast<int>(rng.Uniform(0, 1));
   s.build_dist = static_cast<int>(rng.Uniform(0, 2));
   s.dim2_replicated = rng.Bernoulli(0.5);
-  // Fused-pipeline dimension: drawn after every pre-existing one so
-  // earlier seeds keep their established shapes.
-  s.fused_pipelines = rng.Bernoulli(0.5);
+  rng.Bernoulli(0.5);  // retired fused-pipeline draw: keeps seed shapes
   // No liveness constraint on steal/workers: sockets without a live
   // worker hand their morsels to remote workers (the dispatcher's
   // no-steal fallback), so any combination must complete.
@@ -355,8 +346,6 @@ EngineOptions TestedEngineOptions(const RandomPlanSpec& spec) {
   opts.steal = spec.steal;
   opts.tagging = spec.tagging;
   opts.runtime_feedback = spec.runtime_feedback;
-  opts.selection_vectors = spec.selection_vectors;
-  opts.fused_pipelines = spec.fused_pipelines;
   opts.adaptive_agg = spec.adaptive_agg;
   if (spec.force_radix_agg) opts.agg_radix_switch_ratio = 0.0;
   opts.radix_merge_materialize = spec.radix_merge_mat;
@@ -371,16 +360,15 @@ std::vector<std::string> RunSpec(const RandomPlanSpec& spec,
                                  bool reference) {
   EngineOptions opts;
   if (reference) {
-    // Volcano-emulation backend, single worker: the fixed oracle — it
-    // also runs the pre-selection-vector eager filter path with zone
-    // maps off, so the tested engine's elisions face an independent
-    // implementation.
+    // Volcano-emulation backend, single worker, zone maps off. It runs
+    // the same filter, probe and aggregation operators as the tested
+    // engine, so it catches scheduling, zone-map and adaptive-path bugs
+    // but not a bug those operators share. That needs an oracle with
+    // no engine operator code (ROADMAP, "One oracle").
     opts = MakeVolcanoOptions();
     opts.num_workers = 1;
     opts.join_strategy = JoinStrategy::kHash;
-    opts.selection_vectors = false;
     opts.zone_maps = false;
-    opts.fused_pipelines = false;  // one operator per node, pre-§15
     // The oracle aggregates on the fixed pre-§13 path and materializes
     // merge inputs through the separator-sampling path.
     opts.adaptive_agg = false;

@@ -4,6 +4,8 @@
 // Shared helpers for engine-level tests: small tables, reference
 // canonicalization of results.
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,6 +58,40 @@ inline std::vector<std::string> SortedRows(const ResultSet& r) {
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+using KvRows = std::vector<std::pair<int64_t, int64_t>>;
+
+// Reference equi-join of (k, v) input rows, computed with std containers
+// rather than engine operators. Inner and left-outer kinds emit
+// (pk, pv, bv) per match, and left-outer emits (pk, pv, 0) for a probe
+// row without one; semi and anti emit (pk, pv) per qualifying probe row.
+// `residual(pv, bv)`, when set, must hold for a key match to count.
+// Rows come back sorted.
+inline std::vector<std::vector<int64_t>> ReferenceJoin(
+    const KvRows& probe, const KvRows& build, JoinKind kind,
+    const std::function<bool(int64_t, int64_t)>& residual = nullptr) {
+  std::multimap<int64_t, int64_t> by_key(build.begin(), build.end());
+  std::vector<std::vector<int64_t>> out;
+  for (const auto& [pk, pv] : probe) {
+    bool matched = false;
+    auto [lo, hi] = by_key.equal_range(pk);
+    for (auto it = lo; it != hi; ++it) {
+      if (residual && !residual(pv, it->second)) continue;
+      matched = true;
+      if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+        out.push_back({pk, pv, it->second});
+      }
+    }
+    if ((kind == JoinKind::kSemi && matched) ||
+        (kind == JoinKind::kAnti && !matched)) {
+      out.push_back({pk, pv});
+    } else if (kind == JoinKind::kLeftOuter && !matched) {
+      out.push_back({pk, pv, 0});
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace testutil
