@@ -37,6 +37,11 @@
 #                                    plus the same query uncancelled
 #   BENCH_micro_morsel_queue.json  — morsel hand-out throughput, local
 #                                    ranges vs forced stealing (§3.3)
+#   BENCH_micro_efficiency.json    — single-worker TPC-H Q1/Q6/Q3 in
+#                                    engine ns per lineitem row beside
+#                                    a hand-written loop over the same
+#                                    columns, and their ratio; host
+#                                    block in "context"
 #   BENCH_serve_mixed.json         — TCP serving front end: per-query
 #                                    latency p50/p99 + throughput for
 #                                    1024 mixed TPC-H/SSB sessions,
@@ -93,6 +98,7 @@ run_one micro_groupby
 run_one micro_cancel
 run_one micro_exchange
 run_one micro_morsel_queue
+run_one micro_efficiency
 
 # serve_mixed is not a Google Benchmark binary: it drives the TCP
 # serving front end with its own main() and emits its JSON directly.

@@ -75,6 +75,14 @@ bool Dispatcher::GetTask(WorkerContext& ctx, Morsel* out) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     PipelineJob* job = PickJob(ctx);
     if (job == nullptr) return false;
+    // An elastic cap below the pool size (§3.1) is enforced by reserving
+    // the worker's place with a CAS before the cut: PickJob's read of
+    // active_workers alone lets two workers pass a cap of 1 together.
+    // Uncapped queries keep the plain increment after the cut.
+    QueryContext* q = job->query();
+    const bool capped =
+        q->max_workers() < static_cast<int>(sections_.size());
+    if (capped && !ReserveWorker(q)) continue;
     // Reserve the hand-out BEFORE cutting: if this worker takes the last
     // morsel, the queue reads as exhausted immediately, and a sibling's
     // TryComplete must not see finished == handed_out until this morsel
@@ -89,22 +97,41 @@ bool Dispatcher::GetTask(WorkerContext& ctx, Morsel* out) {
       // transient over-count may have suppressed the completing
       // thread's counter check, re-examine the job ourselves.
       job->handed_out.fetch_sub(1, std::memory_order_seq_cst);
+      if (capped) ReleaseWorker(q);
       TryComplete(job, ctx);
       continue;
     }
     if (job->queue()->Next(ctx.socket, out)) {
       out->job = job;
-      job->query()->active_workers().fetch_add(1,
-                                               std::memory_order_relaxed);
+      if (!capped) {
+        q->active_workers().fetch_add(1, std::memory_order_relaxed);
+      }
       return true;
     }
-    // Queue drained under us: undo the reservation. Our temporary
+    // Queue drained under us: undo the reservations. Our temporary
     // over-count may have suppressed the completion check in a sibling
     // that finished the true last morsel, so re-examine the job.
     job->handed_out.fetch_sub(1, std::memory_order_acq_rel);
+    if (capped) ReleaseWorker(q);
     TryComplete(job, ctx);
   }
   return false;
+}
+
+void Dispatcher::ReleaseWorker(QueryContext* q) {
+  q->active_workers().fetch_sub(1, std::memory_order_relaxed);
+  // A sibling refused this place may have parked; its work may be on a
+  // job other than the one that just failed to cut.
+  NotifyAll();
+}
+
+bool Dispatcher::ReserveWorker(QueryContext* q) {
+  int active = q->active_workers().load(std::memory_order_relaxed);
+  do {
+    if (active >= q->max_workers()) return false;
+  } while (!q->active_workers().compare_exchange_weak(
+      active, active + 1, std::memory_order_relaxed));
+  return true;
 }
 
 void Dispatcher::FinishMorsel(const Morsel& m, WorkerContext& ctx) {

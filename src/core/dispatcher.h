@@ -80,6 +80,10 @@ class Dispatcher {
 
  private:
   PipelineJob* PickJob(WorkerContext& ctx);
+  // Claims one of `q`'s max_workers places (false when all are taken);
+  // ReleaseWorker returns a claim that cut no morsel.
+  bool ReserveWorker(QueryContext* q);
+  void ReleaseWorker(QueryContext* q);
   void RemoveJob(PipelineJob* job);
 
   const Topology& topo_;

@@ -28,8 +28,21 @@ LogicalType StateTypeFor(const AggSpec& spec) {
   return AggStateType(spec.func, spec.input_type);
 }
 
-inline int64_t InputI64(const Vector& v, int i) {
-  return v.type == LogicalType::kInt32 ? v.i32()[i] : v.i64()[i];
+// FoldInput's loop for one aggregate state at byte offset `off` of the
+// group rows: get(i) reads input row i widened to the state type.
+template <typename Get, typename Op>
+void FoldState(uint8_t* const* rows, const uint8_t* fresh, int off,
+               const int32_t* sel, int from, int to, const Get& get,
+               const Op& op) {
+  using S = decltype(get(0));
+  for (int k = from; k < to; ++k) {
+    uint8_t* p = rows[k] + off;
+    const S v = get(sel != nullptr ? sel[k] : k);
+    S cur;
+    std::memcpy(&cur, p, sizeof cur);
+    cur = fresh == nullptr || fresh[k] != 0 ? v : op(cur, v);
+    std::memcpy(p, &cur, sizeof cur);
+  }
 }
 
 }  // namespace
@@ -59,110 +72,44 @@ std::string_view GroupByState::InternString(int worker_id,
   return a->CopyString(s);
 }
 
-void GroupByState::InitStates(uint8_t* row, const Chunk& in, int i) const {
+void GroupByState::FoldInput(uint8_t* const* rows, const uint8_t* fresh,
+                             const Chunk& in, int from, int to) const {
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
-    int f = num_keys_ + static_cast<int>(s);
-    switch (spec.func) {
-      case AggFunc::kCount:
-        layout_.SetI64(row, f, 1);
-        break;
-      case AggFunc::kSum:
-        if (state_types_[s] == LogicalType::kDouble) {
-          layout_.SetF64(row, f, in.cols[spec.input_col].f64()[i]);
-        } else {
-          layout_.SetI64(row, f, InputI64(in.cols[spec.input_col], i));
-        }
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        if (spec.input_type == LogicalType::kDouble) {
-          layout_.SetF64(row, f, in.cols[spec.input_col].f64()[i]);
-        } else {
-          layout_.SetI64(row, f, InputI64(in.cols[spec.input_col], i));
-        }
-        break;
-    }
-  }
-}
-
-void GroupByState::InitStatesColumnar(uint8_t* const* rows, const Chunk& in,
-                                      int n) const {
-  // `rows` is in packed selected-row order: rows[k] belongs to input row
-  // in.RowAt(k). `n` must equal in.ActiveRows().
-  const int32_t* sel = in.sel;
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    const AggSpec& spec = specs_[s];
-    const int f = num_keys_ + static_cast<int>(s);
+    const int off = layout_.field_offset(num_keys_ + static_cast<int>(s));
+    auto fold = [&](const auto& get) {
+      using S = decltype(get(0));
+      auto run = [&](const auto& op) {
+        FoldState(rows, fresh, off, in.sel, from, to, get, op);
+      };
+      switch (spec.func) {
+        case AggFunc::kCount:
+        case AggFunc::kSum:
+          return run([](S a, S b) { return a + b; });
+        case AggFunc::kMin:
+          return run([](S a, S b) { return std::min(a, b); });
+        case AggFunc::kMax:
+          return run([](S a, S b) { return std::max(a, b); });
+      }
+    };
     if (spec.func == AggFunc::kCount) {
-      for (int i = 0; i < n; ++i) layout_.SetI64(rows[i], f, 1);
+      fold([](int) { return int64_t{1}; });
       continue;
     }
-    // SUM/MIN/MAX all initialize to the input value itself; the state is
-    // double exactly when the input is (AggStateType).
+    // The state is double exactly when the input is (AggStateType).
     const Vector& v = in.cols[spec.input_col];
     switch (v.type) {
-      case LogicalType::kInt32: {
-        const int32_t* src = v.i32();
-        for (int i = 0; i < n; ++i) {
-          layout_.SetI64(rows[i], f, src[sel != nullptr ? sel[i] : i]);
-        }
+      case LogicalType::kInt32:
+        fold([p = v.i32()](int i) { return int64_t{p[i]}; });
         break;
-      }
-      case LogicalType::kInt64: {
-        const int64_t* src = v.i64();
-        for (int i = 0; i < n; ++i) {
-          layout_.SetI64(rows[i], f, src[sel != nullptr ? sel[i] : i]);
-        }
+      case LogicalType::kInt64:
+        fold([p = v.i64()](int i) { return p[i]; });
         break;
-      }
-      case LogicalType::kDouble: {
-        const double* src = v.f64();
-        for (int i = 0; i < n; ++i) {
-          layout_.SetF64(rows[i], f, src[sel != nullptr ? sel[i] : i]);
-        }
+      case LogicalType::kDouble:
+        fold([p = v.f64()](int i) { return p[i]; });
         break;
-      }
       default:
         MORSEL_CHECK(false);  // string aggregates are rejected upstream
-    }
-  }
-}
-
-void GroupByState::UpdateFromInput(uint8_t* row, const Chunk& in,
-                                   int i) const {
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    const AggSpec& spec = specs_[s];
-    int f = num_keys_ + static_cast<int>(s);
-    switch (spec.func) {
-      case AggFunc::kCount:
-        layout_.SetI64(row, f, layout_.GetI64(row, f) + 1);
-        break;
-      case AggFunc::kSum:
-        if (state_types_[s] == LogicalType::kDouble) {
-          layout_.SetF64(row, f, layout_.GetF64(row, f) +
-                                     in.cols[spec.input_col].f64()[i]);
-        } else {
-          layout_.SetI64(row, f, layout_.GetI64(row, f) +
-                                     InputI64(in.cols[spec.input_col], i));
-        }
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        bool is_min = spec.func == AggFunc::kMin;
-        if (spec.input_type == LogicalType::kDouble) {
-          double v = in.cols[spec.input_col].f64()[i];
-          double cur = layout_.GetF64(row, f);
-          layout_.SetF64(row, f, is_min ? std::min(cur, v)
-                                        : std::max(cur, v));
-        } else {
-          int64_t v = InputI64(in.cols[spec.input_col], i);
-          int64_t cur = layout_.GetI64(row, f);
-          layout_.SetI64(row, f, is_min ? std::min(cur, v)
-                                        : std::max(cur, v));
-        }
-        break;
-      }
     }
   }
 }
@@ -323,7 +270,7 @@ void AggPhase1Sink::ConsumeRadix(Chunk& chunk, ExecContext& ctx,
       }
     }
   }
-  state_->InitStatesColumnar(dest, chunk, n);
+  state_->FoldInput(dest, /*fresh=*/nullptr, chunk, 0, n);
   ctx.traffic()->OnWrite(socket, socket,
                          static_cast<uint64_t>(n) * layout.row_size());
 }
@@ -343,34 +290,52 @@ void AggPhase1Sink::Consume(Chunk& chunk, ExecContext& ctx) {
   const TupleLayout& layout = state_->layout();
   const int wid = ctx.worker->worker_id;
 
-  // Reads keys and aggregate inputs through the selection vector — the
-  // per-row hash-table walk never needs dense columns.
+  // Staged, in the probe's shape (DESIGN §5): hash the chunk, find or
+  // insert each row's group, then fold the aggregates column at a time.
+  // groups[k] holds a row *index* (AppendRow may move the buffer) and
+  // fresh[k] says row k created the group; indices become row pointers
+  // only right before a fold. Keys and inputs are read through the
+  // selection vector.
   const int active = chunk.ActiveRows();
-  for (int k2 = 0; k2 < active; ++k2) {
-    const int i = chunk.RowAt(k2);
+  const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
+  uint32_t* groups = ctx.arena.AllocArray<uint32_t>(active);
+  uint8_t* fresh = ctx.arena.AllocArray<uint8_t>(active);
+  uint8_t** rows = ctx.arena.AllocArray<uint8_t*>(active);
+  int folded = 0;  // rows [0, folded) are already folded
+  auto fold_to = [&](int to) {
+    for (int k = folded; k < to; ++k) rows[k] = local.rows->row(groups[k]);
+    state_->FoldInput(rows, fresh, chunk, folded, to);
+    folded = to;
+  };
+  for (int k = 0; k < active; ++k) {
+    const int i = chunk.RowAt(k);
+    const uint64_t h = hashes[k];
     ++local.window_rows;
-    uint64_t h = HashRow(chunk, key_cols_, i);
     uint32_t slot = static_cast<uint32_t>(h) & (kLocalSlots - 1);
-    uint8_t* found = nullptr;
+    uint32_t found = kEmpty;
     while (local.slots[slot] != kEmpty) {
-      uint8_t* row = local.rows->row(local.slots[slot]);
+      const uint32_t idx = local.slots[slot];
+      const uint8_t* row = local.rows->row(idx);
       if (TupleLayout::GetHash(row) == h &&
           state_->KeysEqualInput(row, chunk, i)) {
-        found = row;
+        found = idx;
         break;
       }
       slot = (slot + 1) & (kLocalSlots - 1);
     }
-    if (found != nullptr) {
-      state_->UpdateFromInput(found, chunk, i);
+    if (found != kEmpty) {
+      groups[k] = found;
+      fresh[k] = 0;
       continue;
     }
-    // "spill when ht becomes full" (Figure 8): flush everything to the
-    // overflow partitions and start over with an empty table. A full
-    // table is also a forced observation point: if the window that
-    // filled it was mostly fresh groups, flag the radix switch (applied
-    // at the chunk boundary — one chunk is never split across modes).
+    // "spill when ht becomes full" (Figure 8): fold the rows gathered so
+    // far into the table, flush it to the overflow partitions and start
+    // over with an empty one. A full table is also a forced observation
+    // point: if the window that filled it was mostly fresh groups, flag
+    // the radix switch (applied at the chunk boundary — one chunk is
+    // never split across modes).
     if (local.count >= kLocalSlots * 3 / 4) {
+      fold_to(k);
       if (local.window_rows > 0 && WantRadix(local)) {
         local.switch_pending = true;
       }
@@ -380,23 +345,25 @@ void AggPhase1Sink::Consume(Chunk& chunk, ExecContext& ctx) {
         slot = (slot + 1) & (kLocalSlots - 1);
       }
     }
-    uint32_t idx = static_cast<uint32_t>(local.rows->rows());
+    const uint32_t idx = static_cast<uint32_t>(local.rows->rows());
     uint8_t* row = local.rows->AppendRow();
     TupleLayout::SetNext(row, nullptr);
     TupleLayout::SetHash(row, h);
-    for (int k = 0; k < state_->num_keys(); ++k) {
-      if (layout.field_type(k) == LogicalType::kString) {
-        layout.SetStr(row, k,
-                      state_->InternString(wid, chunk.cols[k].str()[i]));
+    for (int c = 0; c < state_->num_keys(); ++c) {
+      if (layout.field_type(c) == LogicalType::kString) {
+        layout.SetStr(row, c,
+                      state_->InternString(wid, chunk.cols[c].str()[i]));
       } else {
-        layout.StoreFromVector(row, k, chunk.cols[k], i);
+        layout.StoreFromVector(row, c, chunk.cols[c], i);
       }
     }
-    state_->InitStates(row, chunk, i);
     local.slots[slot] = idx;
     ++local.count;
     ++local.window_groups;
+    groups[k] = idx;
+    fresh[k] = 1;
   }
+  fold_to(active);
 
   // Chunk-boundary observation: distinct-group growth over the window
   // (kObserveWindow rows, counted across spills). window_groups counts

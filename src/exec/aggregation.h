@@ -67,15 +67,15 @@ class GroupByState {
   std::string_view InternString(int worker_id, std::string_view s);
 
   // --- state transition functions ----------------------------------------
-  // Initializes a fresh group row's states from input row `i`.
-  void InitStates(uint8_t* row, const Chunk& in, int i) const;
-  // Bulk form over a dense chunk: initializes rows[i] from input row i
-  // for all i in [0, n) with the per-spec type dispatch hoisted out of
-  // the row loop — the hot store of radix-mode scatter.
-  void InitStatesColumnar(uint8_t* const* rows, const Chunk& in,
-                          int n) const;
-  // Folds input row `i` into an existing group row.
-  void UpdateFromInput(uint8_t* row, const Chunk& in, int i) const;
+  // Folds selected input rows into group rows with one typed loop per
+  // (aggregate, input type) — no per-row dispatch: for k in [from, to),
+  // input row in.RowAt(k) goes into rows[k]. A row with fresh[k] != 0
+  // created its group, so its states initialize from it (COUNT = 1,
+  // SUM/MIN/MAX = the value) as a per-row init would; MIN/MAX over NaN
+  // and -0.0 sums stay bit-identical. fresh == nullptr marks every row
+  // fresh: radix-mode scatter's count-1 partials.
+  void FoldInput(uint8_t* const* rows, const uint8_t* fresh,
+                 const Chunk& in, int from, int to) const;
   // Folds a partial-aggregate record into an existing group row.
   void CombinePartial(uint8_t* row, const uint8_t* partial) const;
 
@@ -98,7 +98,9 @@ class GroupByState {
 // Phase-1 sink. Input chunks are [keys..., agg inputs...]. Each worker
 // owns a fixed-size pre-aggregation table ("aggregates heavy hitters
 // using a thread-local, fixed-sized hash table"); when it fills, its
-// contents spill to hash partitions.
+// contents spill to hash partitions. Each chunk runs in stages: hash the
+// key columns (HashColumns), find or insert every row's group, then fold
+// the aggregates column at a time (GroupByState::FoldInput).
 //
 // Adaptive phase 1 (DESIGN §13): thread-local pre-aggregation only wins
 // while groups repeat within a worker's stream. Each worker therefore

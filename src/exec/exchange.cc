@@ -82,15 +82,9 @@ void ExchangeSendSink::Consume(Chunk& chunk, ExecContext& ctx) {
   const int socket = ctx.socket();
   const TupleLayout& layout = channel_->layout();
 
-  const uint64_t* hashes;
-  if (key_cols_.empty()) {
-    // Keyless exchange (global-aggregation partials): one bucket.
-    uint64_t* zeros = ctx.arena.AllocArray<uint64_t>(n);
-    std::fill(zeros, zeros + n, uint64_t{0});
-    hashes = zeros;
-  } else {
-    hashes = HashRowsPacked(chunk, key_cols_, ctx);
-  }
+  // Keyless exchange (global-aggregation partials) hashes every row to
+  // 0: one bucket.
+  const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
 
   Local& local = locals_[wid];
   if (local.scatter == nullptr) {

@@ -23,32 +23,6 @@ LogicalType Promote(LogicalType a, LogicalType b) {
   return LogicalType::kInt64;
 }
 
-inline int64_t GetI64(const Vector& v, int i) {
-  switch (v.type) {
-    case LogicalType::kInt32:
-      return v.i32()[i];
-    case LogicalType::kInt64:
-      return v.i64()[i];
-    default:
-      MORSEL_DCHECK(false);
-      return 0;
-  }
-}
-
-inline double GetF64(const Vector& v, int i) {
-  switch (v.type) {
-    case LogicalType::kInt32:
-      return v.i32()[i];
-    case LogicalType::kInt64:
-      return static_cast<double>(v.i64()[i]);
-    case LogicalType::kDouble:
-      return v.f64()[i];
-    default:
-      MORSEL_DCHECK(false);
-      return 0;
-  }
-}
-
 // Selected-row iteration: runs `body(i)` for every selected physical
 // position of `in`.
 template <typename Fn>
@@ -61,6 +35,97 @@ inline void ForSelected(const Chunk& in, const Fn& body) {
     for (int k = 0; k < cnt; ++k) body(sel[k]);
   }
 }
+
+// --- typed primitives (DESIGN "Typed primitives") ------------------------
+// An operand of a binary kernel, resolved once per chunk: a column read
+// or a broadcast literal. Kernels are instantiated per accessor pair, so
+// operand types and "which side is constant" are part of the kernel's
+// type rather than a per-row test.
+template <typename T>
+auto ColAt(const T* p) {
+  return [p](int i) { return p[i]; };
+}
+template <typename T>
+auto LitAt(T v) {
+  return [v](int) { return v; };
+}
+
+// Calls fn(accessor) for numeric `e` over `in` with compute type C
+// (int64_t or double). Literals never become vectors: they arrive
+// already converted to C; columns keep their storage type and convert
+// in the kernel (the promotion rules of Promote()).
+template <typename C, typename Fn>
+void WithNumeric(const Expr& e, const Chunk& in, ExecContext& ctx,
+                 const Fn& fn) {
+  int64_t iv;
+  double dv;
+  bool is_int;
+  if (e.AsConstNumeric(&iv, &dv, &is_int)) {
+    if constexpr (std::is_same_v<C, double>) {
+      fn(LitAt(dv));
+    } else {
+      fn(LitAt(iv));
+    }
+    return;
+  }
+  Vector v;
+  e.Eval(in, ctx, &v);
+  if (v.type == LogicalType::kInt32) {
+    fn(ColAt(v.i32()));
+  } else if (v.type == LogicalType::kInt64) {
+    fn(ColAt(v.i64()));
+  } else if constexpr (std::is_same_v<C, double>) {
+    fn(ColAt(v.f64()));
+  } else {
+    MORSEL_CHECK(false);  // a double operand makes the node double
+  }
+}
+
+// The two output shapes of a predicate kernel: 0/1 flags at the
+// selected physical positions (Eval), or the surviving row ids (Select;
+// in-place safe, see Expr::Select).
+template <typename Pred>
+void EvalFlags(const Chunk& in, ExecContext& ctx, Vector* out,
+               const Pred& pred) {
+  int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
+  ForSelected(in, [&](int i) { d[i] = pred(i); });
+  out->type = LogicalType::kInt32;
+  out->data = d;
+}
+template <typename Pred>
+int SelectWhere(const Chunk& in, int32_t* out_sel, const Pred& pred) {
+  int m = 0;
+  ForSelected(in, [&](int i) {
+    out_sel[m] = i;
+    m += pred(i) ? 1 : 0;
+  });
+  return m;
+}
+
+// Base of the predicate nodes with a typed kernel: Derived::WithPred
+// resolves operands once and hands fn a row predicate; Eval and Select
+// are the same kernel in its two output shapes.
+template <typename Derived>
+class PredicateExpr : public Expr {
+ public:
+  PredicateExpr() : Expr(LogicalType::kInt32) {}
+
+  void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
+    self().WithPred(in, ctx,
+                    [&](const auto& pred) { EvalFlags(in, ctx, out, pred); });
+  }
+  int Select(const Chunk& in, ExecContext& ctx,
+             int32_t* out_sel) const override {
+    int m = 0;
+    self().WithPred(in, ctx, [&](const auto& pred) {
+      m = SelectWhere(in, out_sel, pred);
+    });
+    return m;
+  }
+
+ private:
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+};
 
 // AppendFingerprint encoding helpers: fixed-width raw bytes (host
 // order — fingerprints are process-local cache keys, never persisted
@@ -169,9 +234,25 @@ class ConstStrExpr final : public Expr {
     FpStr(out, v_);
   }
 
+  std::string_view value() const { return v_; }
+
  private:
   std::string v_;
 };
+
+// String counterpart of WithNumeric. A literal's view points into the
+// node; kernels only read it while producing flags, never forward it.
+template <typename Fn>
+void WithString(const Expr& e, const Chunk& in, ExecContext& ctx,
+                const Fn& fn) {
+  if (const auto* lit = dynamic_cast<const ConstStrExpr*>(&e)) {
+    fn(LitAt(lit->value()));
+    return;
+  }
+  Vector v;
+  e.Eval(in, ctx, &v);
+  fn(ColAt(v.str()));
+}
 
 class ArithExpr final : public Expr {
  public:
@@ -182,50 +263,11 @@ class ArithExpr final : public Expr {
         rhs_(std::move(rhs)) {}
 
   void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
-    Vector l, r;
-    lhs_->Eval(in, ctx, &l);
-    rhs_->Eval(in, ctx, &r);
     out->type = type();
     if (type() == LogicalType::kDouble) {
-      double* d = ctx.arena.AllocArray<double>(in.n);
-      ForSelected(in, [&](int i) {
-        double a = GetF64(l, i), b = GetF64(r, i);
-        switch (op_) {
-          case ArithOp::kAdd:
-            d[i] = a + b;
-            break;
-          case ArithOp::kSub:
-            d[i] = a - b;
-            break;
-          case ArithOp::kMul:
-            d[i] = a * b;
-            break;
-          case ArithOp::kDiv:
-            d[i] = a / b;
-            break;
-        }
-      });
-      out->data = d;
+      out->data = Run<double>(in, ctx);
     } else {
-      int64_t* d = ctx.arena.AllocArray<int64_t>(in.n);
-      ForSelected(in, [&](int i) {
-        int64_t a = GetI64(l, i), b = GetI64(r, i);
-        switch (op_) {
-          case ArithOp::kAdd:
-            d[i] = a + b;
-            break;
-          case ArithOp::kSub:
-            d[i] = a - b;
-            break;
-          case ArithOp::kMul:
-            d[i] = a * b;
-            break;
-          case ArithOp::kDiv:
-            d[i] = b == 0 ? 0 : a / b;
-            break;
-        }
-      });
-      out->data = d;
+      out->data = Run<int64_t>(in, ctx);
     }
   }
 
@@ -246,46 +288,73 @@ class ArithExpr final : public Expr {
   }
 
  private:
+  // One kernel per (op, left accessor, right accessor); integer division
+  // by zero yields 0.
+  template <typename C>
+  C* Run(const Chunk& in, ExecContext& ctx) const {
+    C* d = ctx.arena.AllocArray<C>(in.n);
+    WithNumeric<C>(*lhs_, in, ctx, [&](const auto& l) {
+      WithNumeric<C>(*rhs_, in, ctx, [&](const auto& r) {
+        auto run = [&](const auto& op) {
+          ForSelected(in, [&](int i) {
+            d[i] = op(static_cast<C>(l(i)), static_cast<C>(r(i)));
+          });
+        };
+        switch (op_) {
+          case ArithOp::kAdd:
+            run([](C a, C b) { return a + b; });
+            break;
+          case ArithOp::kSub:
+            run([](C a, C b) { return a - b; });
+            break;
+          case ArithOp::kMul:
+            run([](C a, C b) { return a * b; });
+            break;
+          case ArithOp::kDiv:
+            if constexpr (std::is_same_v<C, double>) {
+              run([](C a, C b) { return a / b; });
+            } else {
+              run([](C a, C b) { return b == 0 ? C{0} : a / b; });
+            }
+            break;
+        }
+      });
+    });
+    return d;
+  }
+
   ArithOp op_;
   ExprPtr lhs_, rhs_;
 };
 
-class CmpExpr final : public Expr {
+class CmpExpr final : public PredicateExpr<CmpExpr> {
  public:
   CmpExpr(CmpOp op, ExprPtr lhs, ExprPtr rhs)
-      : Expr(LogicalType::kInt32),
-        op_(op),
-        lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)) {
+      : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
     bool ls = lhs_->type() == LogicalType::kString;
     bool rs = rhs_->type() == LogicalType::kString;
     MORSEL_CHECK_MSG(ls == rs, "cannot compare string with numeric");
     string_ = ls;
   }
 
-  void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
-    Vector l, r;
-    lhs_->Eval(in, ctx, &l);
-    rhs_->Eval(in, ctx, &r);
-    int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
+  // Kernel selection: (op, compute type, left accessor, right accessor).
+  // Strings compare three-way and test the sign like a numeric kernel.
+  template <typename Fn>
+  void WithPred(const Chunk& in, ExecContext& ctx, const Fn& fn) const {
     if (string_) {
-      const std::string_view* a = l.str();
-      const std::string_view* b = r.str();
-      ForSelected(in, [&](int i) { d[i] = Test(a[i].compare(b[i])); });
-    } else if (l.type == LogicalType::kDouble ||
-               r.type == LogicalType::kDouble) {
-      ForSelected(in, [&](int i) {
-        double a = GetF64(l, i), b = GetF64(r, i);
-        d[i] = Test(a < b ? -1 : (a > b ? 1 : 0));
+      WithString(*lhs_, in, ctx, [&](const auto& l) {
+        WithString(*rhs_, in, ctx, [&](const auto& r) {
+          WithOp([&](const auto& op) {
+            fn([&](int i) { return op(l(i).compare(r(i)), 0); });
+          });
+        });
       });
+    } else if (lhs_->type() == LogicalType::kDouble ||
+               rhs_->type() == LogicalType::kDouble) {
+      Numeric<double>(in, ctx, fn);
     } else {
-      ForSelected(in, [&](int i) {
-        int64_t a = GetI64(l, i), b = GetI64(r, i);
-        d[i] = Test(a < b ? -1 : (a > b ? 1 : 0));
-      });
+      Numeric<int64_t>(in, ctx, fn);
     }
-    out->type = LogicalType::kInt32;
-    out->data = d;
   }
 
   bool ExtractSarg(Sarg* out) const override {
@@ -342,22 +411,38 @@ class CmpExpr final : public Expr {
     }
   }
 
-  int32_t Test(int c) const {
+  template <typename C, typename Fn>
+  void Numeric(const Chunk& in, ExecContext& ctx, const Fn& fn) const {
+    WithNumeric<C>(*lhs_, in, ctx, [&](const auto& l) {
+      WithNumeric<C>(*rhs_, in, ctx, [&](const auto& r) {
+        WithOp([&](const auto& op) {
+          fn([&](int i) {
+            return op(static_cast<C>(l(i)), static_cast<C>(r(i)));
+          });
+        });
+      });
+    });
+  }
+
+  // The comparisons in the order the row comparators use (RunSet::Less,
+  // the merge join): NaN is a tie, neither below nor above any value, so
+  // `=` is !(a<b) && !(a>b). Branch-free: both sides always evaluate.
+  template <typename Fn>
+  void WithOp(const Fn& fn) const {
     switch (op_) {
       case CmpOp::kEq:
-        return c == 0;
+        return fn([](auto a, auto b) { return !(a < b) & !(a > b); });
       case CmpOp::kNe:
-        return c != 0;
+        return fn([](auto a, auto b) { return (a < b) | (a > b); });
       case CmpOp::kLt:
-        return c < 0;
+        return fn([](auto a, auto b) { return a < b; });
       case CmpOp::kLe:
-        return c <= 0;
+        return fn([](auto a, auto b) { return !(a > b); });
       case CmpOp::kGt:
-        return c > 0;
+        return fn([](auto a, auto b) { return a > b; });
       case CmpOp::kGe:
-        return c >= 0;
+        return fn([](auto a, auto b) { return !(a < b); });
     }
-    return 0;
   }
 
   CmpOp op_;
@@ -413,6 +498,21 @@ class LogicExpr final : public Expr {
     }
     out->type = LogicalType::kInt32;
     out->data = d;
+  }
+
+  // AND narrows the selection operand by operand, in place; OR keeps
+  // the flag form (Eval plus compaction).
+  int Select(const Chunk& in, ExecContext& ctx,
+             int32_t* out_sel) const override {
+    if (!is_and_) return Expr::Select(in, ctx, out_sel);
+    int m = operands_[0]->Select(in, ctx, out_sel);
+    for (size_t k = 1; k < operands_.size() && m > 0; ++k) {
+      Chunk view = in;
+      view.sel = out_sel;
+      view.sel_n = m;
+      m = operands_[k]->Select(view, ctx, out_sel);
+    }
+    return m;
   }
 
   void CollectConjuncts(std::vector<ExprPtr>* out) const override {
@@ -480,25 +580,35 @@ class NotExpr final : public Expr {
   ExprPtr operand_;
 };
 
-class LikeExpr final : public Expr {
+class LikeExpr final : public PredicateExpr<LikeExpr> {
  public:
   LikeExpr(ExprPtr input, std::string pattern, bool negate)
-      : Expr(LogicalType::kInt32),
-        input_(std::move(input)),
+      : input_(std::move(input)),
         pattern_(std::move(pattern)),
         negate_(negate) {
     MORSEL_CHECK(input_->type() == LogicalType::kString);
+    // Compiled form of a pattern with '%' but no '_': anchored prefix,
+    // '%'-separated segments matched leftmost in order, anchored suffix.
+    std::vector<std::string> parts = Split(pattern_, '%');
+    compiled_ = parts.size() > 1 && pattern_.find('_') == std::string::npos;
+    if (!compiled_) return;
+    prefix_ = parts.front();
+    suffix_ = parts.back();
+    for (size_t k = 1; k + 1 < parts.size(); ++k) {
+      if (!parts[k].empty()) segments_.push_back(std::move(parts[k]));
+    }
   }
 
-  void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
+  template <typename Fn>
+  void WithPred(const Chunk& in, ExecContext& ctx, const Fn& fn) const {
     Vector v;
     input_->Eval(in, ctx, &v);
     const std::string_view* s = v.str();
-    int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
-    ForSelected(in,
-                [&](int i) { d[i] = LikeMatch(s[i], pattern_) != negate_; });
-    out->type = LogicalType::kInt32;
-    out->data = d;
+    if (compiled_) {
+      fn([&](int i) { return Match(s[i]) != negate_; });
+    } else {
+      fn([&](int i) { return LikeMatch(s[i], pattern_) != negate_; });
+    }
   }
 
   void ForEachChild(const std::function<void(ExprPtr&)>& fn) override {
@@ -517,9 +627,27 @@ class LikeExpr final : public Expr {
   }
 
  private:
+  bool Match(std::string_view s) const {
+    if (s.size() < prefix_.size() + suffix_.size() ||
+        !StartsWith(s, prefix_) || !EndsWith(s, suffix_)) {
+      return false;
+    }
+    const std::string_view body = s.substr(0, s.size() - suffix_.size());
+    size_t pos = prefix_.size();
+    for (const std::string& seg : segments_) {
+      const size_t at = body.find(seg, pos);
+      if (at == std::string_view::npos) return false;
+      pos = at + seg.size();
+    }
+    return true;
+  }
+
   ExprPtr input_;
   std::string pattern_;
   bool negate_;
+  bool compiled_ = false;
+  std::string prefix_, suffix_;
+  std::vector<std::string> segments_;
 };
 
 // Heterogeneous lookup so IN probes never materialize a std::string per
@@ -533,24 +661,19 @@ struct TransparentStrHash {
 using StrLookup =
     std::unordered_set<std::string, TransparentStrHash, std::equal_to<>>;
 
-class InStrExpr final : public Expr {
+class InStrExpr final : public PredicateExpr<InStrExpr> {
  public:
   InStrExpr(ExprPtr input, std::shared_ptr<const StrLookup> lookup)
-      : Expr(LogicalType::kInt32),
-        input_(std::move(input)),
-        lookup_(std::move(lookup)) {
+      : input_(std::move(input)), lookup_(std::move(lookup)) {
     MORSEL_CHECK(input_->type() == LogicalType::kString);
   }
 
-  void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
+  template <typename Fn>
+  void WithPred(const Chunk& in, ExecContext& ctx, const Fn& fn) const {
     Vector v;
     input_->Eval(in, ctx, &v);
     const std::string_view* s = v.str();
-    int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
-    ForSelected(in,
-                [&](int i) { d[i] = lookup_->find(s[i]) != lookup_->end(); });
-    out->type = LogicalType::kInt32;
-    out->data = d;
+    fn([&](int i) { return lookup_->find(s[i]) != lookup_->end(); });
   }
 
   void ForEachChild(const std::function<void(ExprPtr&)>& fn) override {
@@ -580,23 +703,20 @@ class InStrExpr final : public Expr {
   std::shared_ptr<const StrLookup> lookup_;
 };
 
-class InI64Expr final : public Expr {
+class InI64Expr final : public PredicateExpr<InI64Expr> {
  public:
   InI64Expr(ExprPtr input,
             std::shared_ptr<const std::unordered_set<int64_t>> lookup)
-      : Expr(LogicalType::kInt32),
-        input_(std::move(input)),
-        lookup_(std::move(lookup)) {
-    MORSEL_CHECK(IsNumeric(input_->type()));
+      : input_(std::move(input)), lookup_(std::move(lookup)) {
+    MORSEL_CHECK(input_->type() == LogicalType::kInt32 ||
+                 input_->type() == LogicalType::kInt64);
   }
 
-  void Eval(const Chunk& in, ExecContext& ctx, Vector* out) const override {
-    Vector v;
-    input_->Eval(in, ctx, &v);
-    int32_t* d = ctx.arena.AllocArray<int32_t>(in.n);
-    ForSelected(in, [&](int i) { d[i] = lookup_->count(GetI64(v, i)) > 0; });
-    out->type = LogicalType::kInt32;
-    out->data = d;
+  template <typename Fn>
+  void WithPred(const Chunk& in, ExecContext& ctx, const Fn& fn) const {
+    WithNumeric<int64_t>(*input_, in, ctx, [&](const auto& x) {
+      fn([&](int i) { return lookup_->count(x(i)) > 0; });
+    });
   }
 
   void ForEachChild(const std::function<void(ExprPtr&)>& fn) override {
@@ -790,7 +910,13 @@ class ToF64Expr final : public Expr {
       return;
     }
     double* d = ctx.arena.AllocArray<double>(in.n);
-    ForSelected(in, [&](int i) { d[i] = GetF64(v, i); });
+    if (v.type == LogicalType::kInt32) {
+      const int32_t* s = v.i32();
+      ForSelected(in, [&](int i) { d[i] = s[i]; });
+    } else {
+      const int64_t* s = v.i64();
+      ForSelected(in, [&](int i) { d[i] = static_cast<double>(s[i]); });
+    }
     out->type = LogicalType::kDouble;
     out->data = d;
   }
@@ -822,6 +948,14 @@ bool HasColumnRefs(Expr* e) {
 }
 
 }  // namespace
+
+int Expr::Select(const Chunk& in, ExecContext& ctx, int32_t* out_sel) const {
+  MORSEL_DCHECK(type() == LogicalType::kInt32);
+  Vector flags;
+  Eval(in, ctx, &flags);
+  const int32_t* f = flags.i32();
+  return SelectWhere(in, out_sel, [f](int i) { return f[i] != 0; });
+}
 
 void Expr::CollectConjuncts(std::vector<ExprPtr>* out) const {
   out->push_back(Clone());

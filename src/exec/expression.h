@@ -34,7 +34,10 @@ using ExprPtr = std::unique_ptr<Expr>;
 
 // Vectorized expression tree evaluated over chunks. Types are resolved
 // and checked at construction time; evaluation is a tight loop per node
-// writing into arena-allocated output vectors.
+// writing into arena-allocated output vectors. Binary numeric nodes
+// resolve each operand once per chunk — a typed column or a scalar
+// literal — and run one typed kernel for that shape, so no per-row
+// type or operator switch remains (DESIGN "Typed primitives").
 //
 // Conventions: predicates produce kInt32 vectors of 0/1; there is no
 // NULL — TPC-H/SSB data is NOT NULL throughout, and outer-join misses
@@ -59,6 +62,16 @@ class Expr {
   // earlier operands left undecided.
   virtual void Eval(const Chunk& in, ExecContext& ctx,
                     Vector* out) const = 0;
+
+  // Predicate form (int32 nodes only): writes the physical ids of the
+  // chunk's selected rows for which the predicate is true into
+  // `out_sel`, ascending, and returns their count. `out_sel` holds
+  // in.ActiveRows() entries and may alias in.sel (narrowing in place:
+  // every implementation reads sel[k] before it writes out_sel[m <= k]).
+  // The default is Eval plus a compaction pass; comparisons, AND, IN
+  // and LIKE write the selection directly (DESIGN "Typed primitives").
+  virtual int Select(const Chunk& in, ExecContext& ctx,
+                     int32_t* out_sel) const;
 
   // Input column index when this node is a bare column reference, -1
   // otherwise. Lets the planner propagate per-column statistics

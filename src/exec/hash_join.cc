@@ -98,11 +98,12 @@ void HashBuildSink::Consume(Chunk& chunk, ExecContext& ctx) {
   // Reads through the selection vector: materializing row-wise anyway,
   // a gather-compaction of every column first would be pure overhead.
   const int active = chunk.ActiveRows();
+  const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
   for (int k = 0; k < active; ++k) {
     const int i = chunk.RowAt(k);
     uint8_t* row = buf->AppendRow();
     TupleLayout::SetNext(row, nullptr);
-    TupleLayout::SetHash(row, HashRow(chunk, key_cols_, i));
+    TupleLayout::SetHash(row, hashes[k]);
     if (layout.has_marker()) {
       std::memset(row + layout.marker_offset(), 0, 8);
     }
@@ -378,7 +379,8 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
   // The staged probe reads straight through the selection vector: every
   // per-row structure (hashes, match flags, candidate lists) stays
   // physically indexed, and the stage loops visit only selected rows.
-  const uint64_t* hashes = HashRows(chunk, probe_key_cols_, ctx);
+  uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.n);
+  HashColumns(chunk, probe_key_cols_, /*packed=*/false, hashes);
   JoinKind kind = state_->kind();
   const bool track_matches = kind != JoinKind::kInner &&
                              kind != JoinKind::kRightOuterMark;

@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 namespace morsel {
@@ -45,60 +44,57 @@ bool ValidPackedOrder(uint64_t order, size_t k) {
   return k >= 8 || (order >> (8 * k)) == 0;
 }
 
-}  // namespace
-
-uint64_t HashRow(const Chunk& chunk, const std::vector<int>& key_cols,
-                 int i) {
-  uint64_t h = 0;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    const Vector& v = chunk.cols[key_cols[k]];
-    uint64_t hk;
-    switch (v.type) {
-      case LogicalType::kInt32:
-        hk = Hash64(static_cast<uint64_t>(v.i32()[i]));
-        break;
-      case LogicalType::kInt64:
-        hk = Hash64(static_cast<uint64_t>(v.i64()[i]));
-        break;
-      case LogicalType::kDouble:
-        hk = Hash64(std::bit_cast<uint64_t>(v.f64()[i]));
-        break;
-      case LogicalType::kString:
-        hk = HashString(v.str()[i]);
-        break;
-      default:
-        hk = 0;
-    }
-    h = k == 0 ? hk : HashCombine(h, hk);
+// One typed pass over key column `v`: hashes selected row RowAt(k) and
+// stores (first column) or combines (later columns) into
+// out[packed ? k : RowAt(k)]. The flags are loop-invariant branches.
+template <typename T>
+void HashColumn(const Vector& v, const Chunk& chunk, bool first, bool packed,
+                uint64_t* out) {
+  const T* src = static_cast<const T*>(v.data);
+  const int n = chunk.ActiveRows();
+  for (int k = 0; k < n; ++k) {
+    const int i = chunk.sel != nullptr ? chunk.sel[k] : k;
+    const int o = packed ? k : i;
+    const uint64_t hk = HashValue(src[i]);
+    out[o] = first ? hk : HashCombine(out[o], hk);
   }
-  return h;
 }
 
-const uint64_t* HashRows(const Chunk& chunk,
-                         const std::vector<int>& key_cols,
-                         ExecContext& ctx) {
-  uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.n);
-  if (chunk.dense()) {
-    for (int i = 0; i < chunk.n; ++i) {
-      hashes[i] = HashRow(chunk, key_cols, i);
-    }
-  } else {
-    for (int k = 0; k < chunk.sel_n; ++k) {
-      const int i = chunk.sel[k];
-      hashes[i] = HashRow(chunk, key_cols, i);
+}  // namespace
+
+void HashColumns(const Chunk& chunk, const std::vector<int>& key_cols,
+                 bool packed, uint64_t* out) {
+  if (key_cols.empty()) {
+    // A keyless hash is 0 for every row (one bucket, one group).
+    const int n = chunk.ActiveRows();
+    for (int k = 0; k < n; ++k) out[packed ? k : chunk.RowAt(k)] = 0;
+    return;
+  }
+  for (size_t c = 0; c < key_cols.size(); ++c) {
+    const Vector& v = chunk.cols[key_cols[c]];
+    const bool first = c == 0;
+    switch (v.type) {
+      case LogicalType::kInt32:
+        HashColumn<int32_t>(v, chunk, first, packed, out);
+        break;
+      case LogicalType::kInt64:
+        HashColumn<int64_t>(v, chunk, first, packed, out);
+        break;
+      case LogicalType::kDouble:
+        HashColumn<double>(v, chunk, first, packed, out);
+        break;
+      case LogicalType::kString:
+        HashColumn<std::string_view>(v, chunk, first, packed, out);
+        break;
     }
   }
-  return hashes;
 }
 
 const uint64_t* HashRowsPacked(const Chunk& chunk,
                                const std::vector<int>& key_cols,
                                ExecContext& ctx) {
-  if (chunk.dense()) return HashRows(chunk, key_cols, ctx);
-  uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.sel_n);
-  for (int k = 0; k < chunk.sel_n; ++k) {
-    hashes[k] = HashRow(chunk, key_cols, chunk.sel[k]);
-  }
+  uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.ActiveRows());
+  HashColumns(chunk, key_cols, /*packed=*/true, hashes);
   return hashes;
 }
 
@@ -180,6 +176,7 @@ void FilterOp::Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
   const bool observe = adaptive_ && (ticket & 7) == 0;
   const int32_t* sel = chunk.sel;
   int active = chunk.ActiveRows();
+  int32_t* next = nullptr;
   for (size_t r = 0; r < conjuncts_.size() && active > 0; ++r) {
     const size_t c =
         adaptive_ ? static_cast<size_t>((order >> (8 * r)) & 0xff) : r;
@@ -191,21 +188,10 @@ void FilterOp::Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
     Chunk view = chunk;
     view.sel = sel;
     view.sel_n = sel != nullptr ? active : 0;
-    Vector flags;
-    conjuncts_[c]->Eval(view, ctx, &flags);
-    const int32_t* f = flags.i32();
-    int32_t* next = ctx.arena.AllocArray<int32_t>(active);
-    int passed = 0;
-    if (sel != nullptr) {
-      for (int k = 0; k < active; ++k) {
-        const int32_t row = sel[k];
-        if (f[row] != 0) next[passed++] = row;
-      }
-    } else {
-      for (int k = 0; k < active; ++k) {
-        if (f[k] != 0) next[passed++] = k;
-      }
-    }
+    // One selection array per chunk: the first conjunct that runs fills
+    // it from the incoming selection, later ones narrow it in place.
+    if (next == nullptr) next = ctx.arena.AllocArray<int32_t>(active);
+    const int passed = conjuncts_[c]->Select(view, ctx, next);
     if (observe) {
       stats_[c].rows_in.fetch_add(static_cast<uint64_t>(active),
                                   std::memory_order_relaxed);

@@ -14,9 +14,14 @@ namespace morsel {
 // --- shared vector utilities ------------------------------------------------
 // (GatherVector / GatherChunk / Chunk::Compact live in exec/chunk.h.)
 
-// Hash of row `i` over the given columns (multi-column keys combine).
-uint64_t HashRow(const Chunk& chunk, const std::vector<int>& key_cols,
-                 int i);
+// Key hashes of the chunk's selected rows, one typed pass per key
+// column (the first stores HashValue, later ones HashCombine into it; no
+// key columns hash to 0). `packed` writes out[k] for selected row
+// RowAt(k), k in [0, ActiveRows()); otherwise out[RowAt(k)], leaving
+// unselected positions untouched. Every key hash in the engine — build,
+// probe, group-by, exchange, sort runs, shard routing — is this one.
+void HashColumns(const Chunk& chunk, const std::vector<int>& key_cols,
+                 bool packed, uint64_t* out);
 
 // The leading `n` column indices [0, n) — the key-column list for sinks
 // whose input chunks are laid out [keys..., payload...] by construction.
@@ -26,17 +31,10 @@ inline std::vector<int> IdentityCols(int n) {
   return cols;
 }
 
-// Computes key hashes for the chunk's *selected* rows into an arena
-// array indexed by physical row: hashes[chunk.RowAt(k)] is defined for
-// k in [0, ActiveRows()); unselected positions are uninitialized. Dense
-// chunks get a fully populated array. Consumers that keep physical row
-// ids (the batched probe) index it directly.
-const uint64_t* HashRows(const Chunk& chunk,
-                         const std::vector<int>& key_cols, ExecContext& ctx);
-
-// Packed variant: hashes[k] is the hash of selected row chunk.RowAt(k),
-// for k in [0, ActiveRows()). This is the shape RadixScatter wants — its
-// destination array is in packed selected-row order.
+// Arena-allocating, packed HashColumns: hashes[k] is the hash of
+// selected row chunk.RowAt(k), for k in [0, ActiveRows()). This is the
+// shape RadixScatter wants — its destination array is in packed
+// selected-row order.
 const uint64_t* HashRowsPacked(const Chunk& chunk,
                                const std::vector<int>& key_cols,
                                ExecContext& ctx);
@@ -44,10 +42,12 @@ const uint64_t* HashRowsPacked(const Chunk& chunk,
 // --- basic operators ---------------------------------------------------------
 
 // Drops rows that fail a conjunction of predicates (int32 0/1
-// expressions). The chunk's `sel` is narrowed in place, conjunct by
-// conjunct, so conjuncts after the first evaluate only the rows still
-// alive (AND short-circuit) and column compaction is deferred to
-// whichever consumer needs dense data. Per-conjunct cost x selectivity
+// expressions). The chunk's `sel` is narrowed conjunct by conjunct —
+// each conjunct's Expr::Select writes the surviving row ids straight
+// into one per-chunk selection array, no flag vector in between — so
+// conjuncts after the first evaluate only the rows still alive (AND
+// short-circuit) and column compaction is deferred to whichever
+// consumer needs dense data. Per-conjunct cost x selectivity
 // counters feed a periodic re-rank, so the cheapest-per-dropped-row
 // conjunct runs first regardless of the order the query author wrote.
 //

@@ -1,7 +1,5 @@
 #include "shard/sharded_table.h"
 
-#include <bit>
-
 #include "common/hash.h"
 #include "common/macros.h"
 #include "exec/radix_partition.h"
@@ -37,29 +35,27 @@ int ShardedTable::RouteRow(const Table& src, int part, size_t row,
     case ShardDist::kHash:
       break;
   }
-  // Row hash with HashRow's exact semantics (exec/operators.cc): the
+  // The key hash of HashColumns (exec/operators.h), value by value: the
   // exchange send path hashes chunk values the same way, so a
   // hash-distributed table is co-partitioned with exchange output on
   // the same keys — the whole point of the kHash policy.
+  Table& t = const_cast<Table&>(src);
   uint64_t h = 0;
   for (size_t k = 0; k < hash_key_cols_.size(); ++k) {
     const int c = hash_key_cols_[k];
     uint64_t hk = 0;
     switch (src.schema().field(c).type) {
       case LogicalType::kInt32:
-        hk = Hash64(static_cast<uint64_t>(
-            const_cast<Table&>(src).Int32Col(part, c)->Get(row)));
+        hk = HashValue(t.Int32Col(part, c)->Get(row));
         break;
       case LogicalType::kInt64:
-        hk = Hash64(static_cast<uint64_t>(
-            const_cast<Table&>(src).Int64Col(part, c)->Get(row)));
+        hk = HashValue(t.Int64Col(part, c)->Get(row));
         break;
       case LogicalType::kDouble:
-        hk = Hash64(std::bit_cast<uint64_t>(
-            const_cast<Table&>(src).DoubleCol(part, c)->Get(row)));
+        hk = HashValue(t.DoubleCol(part, c)->Get(row));
         break;
       case LogicalType::kString:
-        hk = HashString(const_cast<Table&>(src).StrCol(part, c)->Get(row));
+        hk = HashValue(t.StrCol(part, c)->Get(row));
         break;
     }
     h = k == 0 ? hk : HashCombine(h, hk);

@@ -8,7 +8,7 @@
 // sliced topology) and copies the canonical rows across, routing each
 // row by its distribution policy:
 //
-//  - kHash: shard = ShardPartitionOf(HashRow(key columns)) — the SAME
+//  - kHash: shard = ShardPartitionOf(key hash of HashColumns) — the SAME
 //    hash family (high bits) the exchange send path and
 //    Table::PartitionOfKey use, so scans of a hash-distributed table
 //    are born co-partitioned with exchange output on the same keys.

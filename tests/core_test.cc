@@ -173,6 +173,39 @@ TEST(Scheduler, ElasticWorkerCapRespected) {
   EXPECT_LE(raw->max_active.load(), 1);
 }
 
+TEST(Scheduler, ElasticWorkerCapRespectedUnderShortMorsels) {
+  // Thousands of empty 10-row morsels keep all four workers inside
+  // GetTask at once, so a gap between the cap check and the
+  // active-worker count would let two workers through a cap of 1 (or
+  // three through 2). Repeated: the window is a few instructions wide.
+  for (int cap : {1, 2}) {
+    for (int rep = 0; rep < 25; ++rep) {
+      Harness h;
+      QueryContext query(0);
+      query.set_num_worker_slots(h.pool.num_worker_slots());
+      query.set_max_workers(cap);
+      // Two unserialized roots: a worker whose reservation on one
+      // drained job is refused must still be woken for the other.
+      QepObject qep(&query, &h.dispatcher, /*serialize_roots=*/false);
+      std::vector<CountingJob*> raw;
+      for (const char* name : {"capped-a", "capped-b"}) {
+        auto job = std::make_unique<CountingJob>(&query, name, 50000, h.topo,
+                                                 /*spin_us=*/0,
+                                                 /*morsel_size=*/10);
+        raw.push_back(job.get());
+        qep.AddPipeline(std::move(job), {});
+      }
+      qep.Start(h.pool.external_context());
+      query.Wait();
+      for (CountingJob* j : raw) {
+        ASSERT_EQ(j->processed.load(), 50000u);
+        ASSERT_LE(j->max_active.load(), cap) << "cap " << cap << " rep "
+                                             << rep;
+      }
+    }
+  }
+}
+
 TEST(Scheduler, CancellationStopsAtMorselBoundary) {
   Harness h;
   QueryContext query(0);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "exec/operators.h"
 #include "exec/result.h"
 #include "exec/scan.h"
@@ -106,16 +109,104 @@ TEST(Gather, AllTypes) {
 }
 
 TEST(HashRows, MultiColumnDiffersFromSingle) {
-  Arena arena;
   static const int64_t a[2] = {1, 2};
   static const int64_t b[2] = {2, 1};
   Chunk c;
   c.n = 2;
   c.cols = {Vector{LogicalType::kInt64, a}, Vector{LogicalType::kInt64, b}};
+  uint64_t both[2], first[2], second[2];
+  HashColumns(c, {0, 1}, /*packed=*/true, both);
+  HashColumns(c, {0}, /*packed=*/true, first);
+  HashColumns(c, {1}, /*packed=*/true, second);
   // (1,2) and (2,1) must hash differently (order-dependent combine).
-  EXPECT_NE(HashRow(c, {0, 1}, 0), HashRow(c, {0, 1}, 1));
+  EXPECT_NE(both[0], both[1]);
   // single-column hashes equal the row value hash irrespective of chunk
-  EXPECT_EQ(HashRow(c, {0}, 0), HashRow(c, {1}, 1));
+  EXPECT_EQ(first[0], second[1]);
+}
+
+// Per-row reference for HashColumns, written independently of the
+// column-at-a-time code: the first key column stores its value hash,
+// later ones combine into it; integers hash sign-extended, doubles by
+// bit pattern.
+uint64_t ReferenceRowHash(const Chunk& c, const std::vector<int>& keys,
+                          int i) {
+  uint64_t h = 0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const Vector& v = c.cols[keys[k]];
+    uint64_t hk = 0;
+    switch (v.type) {
+      case LogicalType::kInt32:
+        hk = Hash64(static_cast<uint64_t>(int64_t{v.i32()[i]}));
+        break;
+      case LogicalType::kInt64:
+        hk = Hash64(static_cast<uint64_t>(v.i64()[i]));
+        break;
+      case LogicalType::kDouble: {
+        uint64_t bits;
+        std::memcpy(&bits, &v.f64()[i], 8);
+        hk = Hash64(bits);
+        break;
+      }
+      case LogicalType::kString:
+        hk = HashString(v.str()[i]);
+        break;
+    }
+    h = k == 0 ? hk : HashCombine(h, hk);
+  }
+  return h;
+}
+
+TEST(HashColumns, MatchesPerRowReferenceForEveryTypeAndShape) {
+  constexpr int kN = 8;
+  static const int32_t i32[kN] = {0, -1, 7, INT32_MIN, INT32_MAX, 42, -7, 3};
+  static const int64_t i64[kN] = {0,  -1, 7, INT64_MIN, INT64_MAX,
+                                  42, -7, int64_t{1} << 40};
+  static const double f64[kN] = {0.0,  -0.0, 7.0,  std::nan(""),
+                                 1e300, 42.5, -7.0, -HUGE_VAL};
+  static const std::string_view str[kN] = {"",   "a",  "bc", "promo",
+                                            "a b", "zz", "a",  "longer value"};
+  Chunk c;
+  c.n = kN;
+  c.cols = {Vector{LogicalType::kInt32, i32}, Vector{LogicalType::kInt64, i64},
+            Vector{LogicalType::kDouble, f64},
+            Vector{LogicalType::kString, str}};
+  static const int32_t sel[] = {0, 2, 3, 6, 7};
+  const std::vector<std::vector<int>> key_sets = {
+      {},     {0},    {1},       {2},       {3},      {2, 0},
+      {3, 1}, {0, 3}, {0, 1, 2}, {3, 2, 1}, {1, 1, 3}};
+  constexpr uint64_t kUntouched = 0x5a5a5a5a5a5a5a5aULL;
+  for (const std::vector<int>& keys : key_sets) {
+    for (bool selected : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "keys=" << keys.size()
+                                      << " selected=" << selected);
+      c.sel = selected ? sel : nullptr;
+      c.sel_n = selected ? 5 : 0;
+      uint64_t packed[kN], physical[kN];
+      std::fill(packed, packed + kN, kUntouched);
+      std::fill(physical, physical + kN, kUntouched);
+      HashColumns(c, keys, /*packed=*/true, packed);
+      HashColumns(c, keys, /*packed=*/false, physical);
+      std::vector<bool> is_selected(kN, false);
+      for (int k = 0; k < c.ActiveRows(); ++k) {
+        const int i = c.RowAt(k);
+        is_selected[i] = true;
+        EXPECT_EQ(packed[k], ReferenceRowHash(c, keys, i)) << "row " << i;
+        EXPECT_EQ(physical[i], ReferenceRowHash(c, keys, i)) << "row " << i;
+      }
+      for (int i = 0; i < kN; ++i) {
+        if (!is_selected[i]) {
+          EXPECT_EQ(physical[i], kUntouched);
+        }
+      }
+    }
+  }
+  // An int32 and an int64 key holding the same number hash alike (joins
+  // and exchanges across key widths rely on it).
+  c.sel = nullptr;
+  uint64_t h32[kN], h64[kN];
+  HashColumns(c, {0}, true, h32);
+  HashColumns(c, {1}, true, h64);
+  for (int i : {0, 1, 2, 5, 6}) EXPECT_EQ(h32[i], h64[i]);
 }
 
 TEST(Scan, TrafficChargedAtMorselSocket) {
