@@ -27,6 +27,28 @@
 namespace morsel {
 namespace bench {
 
+#ifndef MORSEL_BUILD_TYPE
+#define MORSEL_BUILD_TYPE "unknown"
+#endif
+
+// CMake build type of this binary, for the reports' host block.
+inline constexpr const char* kBuildType = MORSEL_BUILD_TYPE;
+
+// `git describe --always --dirty` of the working directory, for the
+// reports' host block; "unknown" outside a git checkout.
+inline std::string GitSha() {
+  std::string sha;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 inline double GetSf(double def) {
   if (const char* env = std::getenv("MORSEL_BENCH_SF")) {
     double v = std::atof(env);

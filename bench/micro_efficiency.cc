@@ -35,10 +35,6 @@
 #include "tpch/tpch.h"
 #include "tpch/tpch_queries.h"
 
-#ifndef MORSEL_BUILD_TYPE
-#define MORSEL_BUILD_TYPE "unknown"
-#endif
-
 namespace morsel {
 namespace {
 
@@ -286,19 +282,6 @@ BENCHMARK(BM_Efficiency)
     ->UseRealTime()
     ->MinTime(1.0);
 
-std::string GitSha() {
-  std::string sha;
-  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
-    pclose(p);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
-}
-
 }  // namespace
 }  // namespace morsel
 
@@ -307,8 +290,8 @@ int main(int argc, char** argv) {
       "nproc", std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext("simulated_topology",
                               "1 socket x 1 core, 1 worker");
-  benchmark::AddCustomContext("build_type", MORSEL_BUILD_TYPE);
-  benchmark::AddCustomContext("git_sha", morsel::GitSha());
+  benchmark::AddCustomContext("build_type", morsel::bench::kBuildType);
+  benchmark::AddCustomContext("git_sha", morsel::bench::GitSha());
   benchmark::AddCustomContext(
       "sf", std::to_string(morsel::bench::GetSf(morsel::kDefaultSf)));
   benchmark::Initialize(&argc, argv);

@@ -22,10 +22,12 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "engine/query.h"
@@ -43,8 +45,11 @@ constexpr int64_t kSmallDim = 2000;    // below broadcast threshold
 constexpr int64_t kLargeDim = 200000;  // forces repartition
 
 const Topology& BenchTopo() {
-  // Four one-core sockets: at 4 shards each shard owns one socket, so
-  // on a real >= 4-core machine the shards truly run side by side.
+  // Four one-core sockets, one worker per core. At 4 shards each shard
+  // owns one socket and one worker, and shard s pins to machine CPU s
+  // (mod nproc); at 2 shards the shards pin to CPUs 0-1 and 2-3. On a
+  // >= 4-CPU host the shards therefore run side by side on disjoint
+  // CPUs; on fewer CPUs they wrap and timeshare.
   static Topology topo(4, 1, InterconnectKind::kFullyConnected);
   return topo;
 }
@@ -167,4 +172,17 @@ BENCHMARK(BM_SingleEngineQ3)
 }  // namespace
 }  // namespace morsel
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "nproc", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext(
+      "simulated_topology",
+      "4 sockets x 1 core; 1 worker per core, per shard slice");
+  benchmark::AddCustomContext("build_type", morsel::bench::kBuildType);
+  benchmark::AddCustomContext("git_sha", morsel::bench::GitSha());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

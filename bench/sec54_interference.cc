@@ -88,7 +88,7 @@ int main() {
   // Interfering single-threaded process pinned to core 0.
   std::atomic<bool> stop{false};
   std::thread hog([&] {
-    PinThreadToCore(0);
+    PinThreadToCpu(0);
     volatile uint64_t x = 1;
     while (!stop.load(std::memory_order_relaxed)) x = x * 2654435761u + 1;
   });

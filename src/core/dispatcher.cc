@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/memory_tracker.h"
 #include "common/query_status.h"
@@ -218,14 +219,25 @@ void Dispatcher::RegisterWorkerSection(std::atomic<uint64_t>* section) {
   sections_.push_back(section);
 }
 
+void Dispatcher::RegisterExternalSection(std::atomic<uint64_t>* section) {
+  external_section_ = section;
+}
+
 void Dispatcher::Quiesce() const {
-  for (std::atomic<uint64_t>* section : sections_) {
+  auto wait_out = [](const std::atomic<uint64_t>* section) {
     uint64_t v = section->load(std::memory_order_acquire);
-    if ((v & 1) == 0) continue;  // not inside a dispatcher section
-    while (section->load(std::memory_order_acquire) == v) {
-      // Sections are a few hundred instructions; plain spinning is fine.
+    if ((v & 1) == 0) return;  // not inside a dispatcher section
+    // Sections are a few hundred instructions, so spin briefly; past
+    // that, yield: the section's owner may need this CPU to get out
+    // (unpinned client threads share CPUs with pinned workers).
+    constexpr int kSpinsBeforeYield = 128;
+    for (int spins = 0; section->load(std::memory_order_acquire) == v;
+         ++spins) {
+      if (spins >= kSpinsBeforeYield) std::this_thread::yield();
     }
-  }
+  };
+  for (const std::atomic<uint64_t>* section : sections_) wait_out(section);
+  if (external_section_ != nullptr) wait_out(external_section_);
 }
 
 void Dispatcher::WaitForWork(uint64_t seen_epoch,

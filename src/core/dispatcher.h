@@ -74,8 +74,10 @@ class Dispatcher {
   // held briefly after the job completed and was removed. Each worker
   // registers a section counter (odd while inside GetTask); Quiesce()
   // waits one RCU-style grace period so a finished query may safely free
-  // its jobs.
+  // its jobs. The pool's external context registers one more section:
+  // threads outside the pool (query start, cancel) scan the slots too.
   void RegisterWorkerSection(std::atomic<uint64_t>* section);
+  void RegisterExternalSection(std::atomic<uint64_t>* section);
   void Quiesce() const;
 
  private:
@@ -88,7 +90,8 @@ class Dispatcher {
 
   const Topology& topo_;
   std::array<std::atomic<PipelineJob*>, kMaxJobs> slots_;
-  std::vector<std::atomic<uint64_t>*> sections_;
+  std::vector<std::atomic<uint64_t>*> sections_;  // one per pool worker
+  std::atomic<uint64_t>* external_section_ = nullptr;
 
   std::mutex park_mu_;
   std::condition_variable park_cv_;

@@ -17,6 +17,9 @@ struct WorkerContext {
   int worker_id = 0;  // dense 0..num_worker_slots-1
   int core = 0;       // virtual core (topology coordinate)
   int socket = 0;     // topology socket of `core`
+  // Machine CPU the worker is bound to, -1 if unpinned (pinning off or
+  // refused, and for the external context). Set once at pool start.
+  int pinned_cpu = -1;
   const Topology* topo = nullptr;
   TrafficCounters* traffic = nullptr;  // never null during execution
   TraceRecorder* trace = nullptr;      // may be null

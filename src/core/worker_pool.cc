@@ -45,10 +45,18 @@ WorkerPool::WorkerPool(const Topology& topo, Dispatcher* dispatcher,
   for (int i = 0; i < n; ++i) {
     dispatcher_->RegisterWorkerSection(&contexts_[i]->dispatcher_section);
   }
+  dispatcher_->RegisterExternalSection(&external_ctx_.dispatcher_section);
 
   threads_.reserve(n);
   for (int i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
+    // Bind by machine CPU slot, not simulated core: an engine on a
+    // shard's slice starts at that slice's first CPU, so shards never
+    // double-book a CPU while their simulated cores overlap.
+    if (opts_.pin) {
+      contexts_[i]->pinned_cpu =
+          PinThreadToCpu(topo.first_cpu() + i, threads_[i].native_handle());
+    }
   }
 }
 
@@ -60,7 +68,6 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::WorkerLoop(int worker_id) {
   WorkerContext& ctx = *contexts_[worker_id];
-  if (opts_.pin) PinThreadToCore(ctx.core);
   while (!shutdown_.load(std::memory_order_acquire)) {
     uint64_t epoch = dispatcher_->epoch();
     Morsel m;

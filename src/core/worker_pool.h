@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -45,9 +46,26 @@ class WorkerPool {
 
   int num_workers() const { return static_cast<int>(threads_.size()); }
 
-  // Context for the thread that owns the pool (query submission,
-  // empty-pipeline finalization). Occupies worker slot `num_workers`.
+  // Context for threads outside the pool (query submission and
+  // cancellation, empty-pipeline finalization). Occupies worker slot
+  // `num_workers`. Concurrent callers go through RunExternal.
   WorkerContext& external_context() { return external_ctx_; }
+
+  // Runs fn(external_context()) for a thread outside the pool. Callers
+  // are serialized, since they share the one context, and the call is a
+  // dispatcher section: Quiesce waits for it, so another query's
+  // teardown cannot free a job the call is reading.
+  template <typename Fn>
+  void RunExternal(const Fn& fn) {
+    std::lock_guard<std::mutex> lock(external_mu_);
+    std::atomic<uint64_t>& section = external_ctx_.dispatcher_section;
+    section.fetch_add(1, std::memory_order_acq_rel);
+    struct Exit {
+      std::atomic<uint64_t>& s;
+      ~Exit() { s.fetch_add(1, std::memory_order_acq_rel); }
+    } exit{section};
+    fn(external_ctx_);
+  }
 
   // Number of worker-local state slots jobs must allocate
   // (num_workers + 1 for the external thread).
@@ -71,6 +89,8 @@ class WorkerPool {
   // Per-worker statistics (w in [0, num_workers)).
   uint64_t WorkerMorselsRun(int w) const { return contexts_[w]->morsels_run; }
   int64_t WorkerBusyMicros(int w) const { return contexts_[w]->busy_micros; }
+  // Machine CPU worker w is bound to (-1 if unpinned).
+  int WorkerPinnedCpu(int w) const { return contexts_[w]->pinned_cpu; }
   void ResetStats();
 
  private:
@@ -85,6 +105,7 @@ class WorkerPool {
   std::vector<std::thread> threads_;
   // One context per worker, stable addresses.
   std::vector<std::unique_ptr<WorkerContext>> contexts_;
+  std::mutex external_mu_;
   WorkerContext external_ctx_;
 };
 

@@ -74,7 +74,8 @@ void Query::Start() {
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(engine_->options().deadline_ms));
   }
-  qep_.Start(engine_->pool()->external_context());
+  engine_->pool()->RunExternal(
+      [this](WorkerContext& ctx) { qep_.Start(ctx); });
 }
 
 void Query::Wait() { context_.Wait(); }
@@ -125,8 +126,9 @@ std::string Query::ExplainPlan() const {
 }
 
 void Query::Cancel() {
-  engine_->dispatcher()->CancelQuery(&context_,
-                                     engine_->pool()->external_context());
+  engine_->pool()->RunExternal([this](WorkerContext& ctx) {
+    engine_->dispatcher()->CancelQuery(&context_, ctx);
+  });
 }
 
 int Query::AddJob(std::unique_ptr<PipelineJob> job, std::vector<int> deps) {

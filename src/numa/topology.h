@@ -20,9 +20,14 @@ enum class InterconnectKind {
 // steal-from-closest-socket ordering (§3.2) — consult this class.
 //
 // On hosts without a real multi-socket topology (this reproduction's
-// default environment) a virtual topology is synthesized; workers are
-// still pinned to physical CPUs round-robin, and memory placement is
-// tracked logically via allocation tags (see DESIGN.md §1).
+// default environment) a virtual topology is synthesized and memory
+// placement is tracked logically via allocation tags (see DESIGN.md §1).
+// The simulated core is not the machine CPU: worker i of an engine on
+// this topology keeps core i mod total_cores for every scheduling and
+// NUMA decision, but pins to machine CPU slot first_cpu() + i (mod
+// nproc). A whole-machine topology starts at slot 0; ShardedEngine
+// gives each shard's slice the slots after the previous shards' workers,
+// so shards own disjoint CPUs.
 class Topology {
  public:
   Topology(int num_sockets, int cores_per_socket, InterconnectKind kind);
@@ -46,6 +51,15 @@ class Topology {
   int total_cores() const { return num_sockets_ * cores_per_socket_; }
   InterconnectKind interconnect() const { return kind_; }
 
+  // First machine CPU slot of the engine running on this topology.
+  int first_cpu() const { return first_cpu_; }
+  // This topology with its CPU slot range starting at `first_cpu`.
+  Topology WithFirstCpu(int first_cpu) const {
+    Topology t = *this;
+    t.first_cpu_ = first_cpu;
+    return t;
+  }
+
   // Socket that owns a (virtual) core.
   int SocketOfCore(int core) const { return core / cores_per_socket_; }
 
@@ -66,6 +80,7 @@ class Topology {
   int num_sockets_;
   int cores_per_socket_;
   InterconnectKind kind_;
+  int first_cpu_ = 0;
   std::vector<int> distance_;                 // num_sockets^2 hop matrix
   std::vector<std::vector<int>> steal_order_; // per-socket visit order
 };

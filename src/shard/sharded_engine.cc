@@ -14,15 +14,19 @@ ShardedEngine::ShardedEngine(const Topology& topo, int num_shards,
   MORSEL_CHECK(num_shards >= 1);
   // Shared-nothing slicing: with enough sockets each shard owns a
   // contiguous socket group (shard = NUMA domain set); on smaller
-  // machines every shard runs a one-socket engine and the shards share
-  // cores the way concurrent queries always have.
+  // topologies every shard runs a one-socket engine. Simulated cores
+  // restart at 0 in every slice, but machine CPUs do not: shard s pins
+  // from the slot after shards 0..s-1's workers, so shards own disjoint
+  // CPUs (wrapping evenly once workers outnumber CPUs).
   const int sockets_per_shard =
       std::max(1, topo.num_sockets() / num_shards);
+  int first_cpu = 0;
   for (int s = 0; s < num_shards; ++s) {
-    shard_topos_.push_back(Topology(sockets_per_shard,
-                                    topo.cores_per_socket(),
-                                    topo.interconnect()));
+    Topology slice(sockets_per_shard, topo.cores_per_socket(),
+                   topo.interconnect());
+    shard_topos_.push_back(slice.WithFirstCpu(first_cpu));
     engines_.push_back(std::make_unique<Engine>(shard_topos_[s], opts_));
+    first_cpu += engines_[s]->pool()->num_workers();
   }
 }
 

@@ -25,8 +25,10 @@ class ShardedEngine {
  public:
   // Slices `topo` into `num_shards` engine topologies: with at least
   // one socket per shard each engine owns sockets/num_shards sockets,
-  // otherwise every shard runs a one-socket engine. `opts` applies per
-  // shard (num_workers is per-shard workers; 0 = the slice's cores).
+  // otherwise every shard runs a one-socket engine. Shard s's workers
+  // pin to the machine CPU slots after shards 0..s-1's workers, so the
+  // shards own disjoint CPUs. `opts` applies per shard (num_workers is
+  // per-shard workers; 0 = the slice's cores).
   ShardedEngine(const Topology& topo, int num_shards,
                 const EngineOptions& opts = {});
   ~ShardedEngine();

@@ -16,6 +16,7 @@
 //  - kReplicated: every shard holds the full table (dimension tables —
 //    joins against them need no exchange at all).
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +42,9 @@ class ShardedTable {
                const std::vector<Topology>& shard_topos);
 
   // Copies every sealed canonical row into the fragments and seals
-  // them. Single-threaded, load-phase only.
+  // them: route vectors first (one per source partition), then one
+  // loader thread per shard appends its rows a column at a time.
+  // Load-phase only.
   void Load();
 
   const Table* canonical() const { return canonical_; }
@@ -52,7 +55,13 @@ class ShardedTable {
   const Table* fragment(int shard) const { return frags_[shard].get(); }
 
  private:
-  int RouteRow(const Table& src, int part, size_t row, size_t ordinal);
+  // Shard of every sealed row of canonical partition `part`, whose first
+  // row has round-robin ordinal `first_ordinal`. Not for kReplicated.
+  std::vector<uint32_t> RoutePartition(int part, size_t first_ordinal) const;
+  // Appends the rows `routes` sends to `shard` (all rows if replicated)
+  // to its fragment and seals it.
+  void LoadFragment(int shard,
+                    const std::vector<std::vector<uint32_t>>& routes);
 
   const Table* canonical_;
   ShardDist dist_;

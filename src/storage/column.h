@@ -292,6 +292,12 @@ class StringColumn final : public Column {
     offsets_.push_back(static_cast<uint32_t>(heap_.size()));
   }
 
+  // Room for `rows` more rows holding `bytes` more payload bytes.
+  void Reserve(size_t rows, size_t bytes) {
+    offsets_.reserve(offsets_.size() + rows);
+    heap_.reserve(heap_.size() + bytes);
+  }
+
   std::string_view Get(size_t i) const {
     MORSEL_DCHECK(i + 1 < offsets_.size());
     uint32_t b = offsets_[i];

@@ -172,8 +172,8 @@ TEST(MemStats, RegistryAggregation) {
 
 TEST(Pinning, BestEffortDoesNotCrash) {
   // May fail in restricted sandboxes; must not crash either way.
-  PinThreadToCore(0);
-  PinThreadToCore(123456);
+  PinThreadToCpu(0);
+  PinThreadToCpu(123456);
 }
 
 }  // namespace

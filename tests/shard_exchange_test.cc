@@ -7,15 +7,21 @@
 // injection, budgets) spans the whole distributed QEP.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/query_status.h"
 #include "common/rng.h"
+#include "exec/radix_partition.h"
 #include "shard/sharded_engine.h"
 #include "shard/sharded_query.h"
 #include "shard/sharded_table.h"
@@ -102,6 +108,238 @@ TEST(ShardedTable, RoundRobinBalancesRows) {
     EXPECT_NEAR(static_cast<double>(n), 4001.0 / 4, 1.0);
   }
   EXPECT_EQ(total, t->NumRows());
+}
+
+// --- fragment load equivalence ----------------------------------------------
+
+// One row of `t` rendered exactly (doubles by bit pattern).
+std::string RowKey(const Table& t, int part, size_t row) {
+  Table& m = const_cast<Table&>(t);
+  std::string out;
+  for (int c = 0; c < t.schema().num_fields(); ++c) {
+    switch (t.schema().field(c).type) {
+      case LogicalType::kInt32:
+        out += std::to_string(m.Int32Col(part, c)->Get(row));
+        break;
+      case LogicalType::kInt64:
+        out += std::to_string(m.Int64Col(part, c)->Get(row));
+        break;
+      case LogicalType::kDouble:
+        out += std::to_string(
+            std::bit_cast<uint64_t>(m.DoubleCol(part, c)->Get(row)));
+        break;
+      case LogicalType::kString:
+        out += "'" + std::string(m.StrCol(part, c)->Get(row)) + "'";
+        break;
+    }
+    out += "|";
+  }
+  return out;
+}
+
+// Fragment partitions [shard][partition] -> rows in storage order.
+using FragmentRows = std::vector<std::vector<std::vector<std::string>>>;
+
+// The placement rule one row at a time: canonical rows in (partition,
+// row) order; kHash routes by ShardPartitionOf over HashValue of the
+// first key combined with HashCombine for later keys, kRoundRobin by
+// the row's ordinal mod shards, kReplicated to every shard; each shard
+// deals the rows it receives round-robin over its own partitions.
+FragmentRows ReferenceFragments(const Table& t, ShardDist dist,
+                                const std::vector<std::string>& keys,
+                                int shards, int frag_parts) {
+  Table& m = const_cast<Table&>(t);
+  FragmentRows out(shards, std::vector<std::vector<std::string>>(frag_parts));
+  std::vector<size_t> dealt(shards, 0);
+  auto append = [&](int s, int p, size_t r) {
+    out[s][dealt[s]++ % frag_parts].push_back(RowKey(t, p, r));
+  };
+  size_t ordinal = 0;
+  for (int p = 0; p < t.num_partitions(); ++p) {
+    for (size_t r = 0; r < t.PartitionRows(p); ++r, ++ordinal) {
+      if (dist == ShardDist::kReplicated) {
+        for (int s = 0; s < shards; ++s) append(s, p, r);
+        continue;
+      }
+      if (dist == ShardDist::kRoundRobin) {
+        append(static_cast<int>(ordinal % shards), p, r);
+        continue;
+      }
+      uint64_t h = 0;
+      for (size_t k = 0; k < keys.size(); ++k) {
+        const int c = t.schema().IndexOf(keys[k]);
+        uint64_t hk = 0;
+        switch (t.schema().field(c).type) {
+          case LogicalType::kInt32:
+            hk = HashValue(m.Int32Col(p, c)->Get(r));
+            break;
+          case LogicalType::kInt64:
+            hk = HashValue(m.Int64Col(p, c)->Get(r));
+            break;
+          case LogicalType::kDouble:
+            hk = HashValue(m.DoubleCol(p, c)->Get(r));
+            break;
+          case LogicalType::kString:
+            hk = HashValue(m.StrCol(p, c)->Get(r));
+            break;
+        }
+        h = k == 0 ? hk : HashCombine(h, hk);
+      }
+      append(ShardPartitionOf(h, shards), p, r);
+    }
+  }
+  return out;
+}
+
+FragmentRows LoadedFragments(const ShardedTable& st) {
+  FragmentRows out;
+  for (int s = 0; s < st.num_shards(); ++s) {
+    const Table& frag = *st.fragment(s);
+    out.emplace_back(frag.num_partitions());
+    for (int p = 0; p < frag.num_partitions(); ++p) {
+      for (size_t r = 0; r < frag.PartitionRows(p); ++r) {
+        out[s][p].push_back(RowKey(frag, p, r));
+      }
+    }
+  }
+  return out;
+}
+
+// Every key type, with duplicates, on three canonical partitions of
+// unequal size (so round-robin ordinals must carry across partitions).
+std::unique_ptr<Table> MakeMixed(int64_t rows) {
+  static const Topology topo(3, 1, InterconnectKind::kFullyConnected);
+  Schema schema({{"k32", LogicalType::kInt32},
+                 {"k64", LogicalType::kInt64},
+                 {"kd", LogicalType::kDouble},
+                 {"ks", LogicalType::kString},
+                 {"v", LogicalType::kInt64}});
+  auto t = std::make_unique<Table>("mixed", schema, topo);
+  Rng rng(7003);
+  for (int64_t i = 0; i < rows; ++i) {
+    const int p = rng.Uniform(0, 9) < 6 ? 0 : static_cast<int>(i % 3);
+    const int64_t k = rng.Uniform(-50, 50);
+    t->Int32Col(p, 0)->Append(static_cast<int32_t>(k));
+    t->Int64Col(p, 1)->Append(k * 1000003);
+    t->DoubleCol(p, 2)->Append(static_cast<double>(k) / 7.0);
+    t->StrCol(p, 3)->Append(std::string(static_cast<size_t>(k + 50) % 13,
+                                        static_cast<char>('a' + k % 5 + 5)));
+    t->Int64Col(p, 4)->Append(i);
+  }
+  for (int p = 0; p < t->num_partitions(); ++p) t->SealPartition(p);
+  return t;
+}
+
+TEST(ShardedTable, ColumnarLoadMatchesRowAtATimePlacement) {
+  struct Dist {
+    ShardDist dist;
+    std::vector<std::string> keys;
+  };
+  const std::vector<Dist> dists = {
+      {ShardDist::kHash, {"k32"}},
+      {ShardDist::kHash, {"k64"}},
+      {ShardDist::kHash, {"kd"}},
+      {ShardDist::kHash, {"ks"}},
+      {ShardDist::kHash, {"k64", "ks"}},
+      {ShardDist::kHash, {"kd", "k32"}},
+      {ShardDist::kRoundRobin, {}},
+      {ShardDist::kReplicated, {}},
+  };
+  // Fragments on two-socket slices: each shard deals over 2 partitions.
+  const Topology slice(2, 1, InterconnectKind::kFullyConnected);
+  for (int64_t rows : {0, 3, 2500}) {
+    auto t = MakeMixed(rows);
+    for (int shards : {2, 4}) {
+      const std::vector<Topology> topos(shards, slice);
+      for (const Dist& d : dists) {
+        ShardedTable st(t.get(), d.dist, d.keys, topos);
+        st.Load();
+        const FragmentRows want =
+            ReferenceFragments(*t, d.dist, d.keys, shards, 2);
+        EXPECT_EQ(LoadedFragments(st), want)
+            << "rows=" << rows << " shards=" << shards
+            << " dist=" << static_cast<int>(d.dist)
+            << " keys=" << d.keys.size();
+      }
+    }
+  }
+}
+
+// --- machine CPU placement --------------------------------------------------
+
+// True when a worker may pin to any of the hardware_concurrency() CPUs:
+// pinning is on and the process's affinity mask allows all of them.
+bool CanPinEveryCpu() {
+  if (std::getenv("MORSEL_NO_PINNING") != nullptr) return false;
+  const unsigned hw = std::thread::hardware_concurrency();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (hw == 0 || sched_getaffinity(0, sizeof(set), &set) != 0) return false;
+  for (unsigned c = 0; c < hw; ++c) {
+    if (!CPU_ISSET(c, &set)) return false;
+  }
+  return true;
+}
+
+int Nproc() { return static_cast<int>(std::thread::hardware_concurrency()); }
+
+TEST(ShardPlacement, SingleEnginePinsWorkerIToCpuIModNproc) {
+  if (!CanPinEveryCpu()) GTEST_SKIP() << "pinning unavailable";
+  EngineOptions opts;
+  opts.num_workers = 4;
+  Engine e(SmallTopo(), opts);
+  for (int w = 0; w < e.pool()->num_workers(); ++w) {
+    EXPECT_EQ(e.pool()->WorkerPinnedCpu(w), w % Nproc()) << "worker " << w;
+  }
+}
+
+TEST(ShardPlacement, ShardsPinToDisjointCpuRanges) {
+  if (!CanPinEveryCpu()) GTEST_SKIP() << "pinning unavailable";
+  EngineOptions opts;
+  opts.num_workers = 2;
+  ShardedEngine se(Topology(2, 2, InterconnectKind::kFullyConnected), 2,
+                   opts);
+  std::vector<std::vector<int>> cpus(2);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(se.shard_topology(s).first_cpu(), 2 * s);
+    for (int w = 0; w < 2; ++w) {
+      const int cpu = se.shard(s)->pool()->WorkerPinnedCpu(w);
+      EXPECT_EQ(cpu, (2 * s + w) % Nproc()) << "shard " << s << " worker " << w;
+      cpus[s].push_back(cpu);
+    }
+  }
+  if (Nproc() >= 4) {
+    for (int a : cpus[0]) {
+      for (int b : cpus[1]) EXPECT_NE(a, b) << "CPU " << a << " shared";
+    }
+  }
+}
+
+TEST(ShardPlacement, FourOneWorkerShardsCoverFourCpus) {
+  if (!CanPinEveryCpu()) GTEST_SKIP() << "pinning unavailable";
+  ShardedEngine se(Topology(4, 1, InterconnectKind::kFullyConnected), 4);
+  std::vector<int> cpus;
+  for (int s = 0; s < 4; ++s) {
+    ASSERT_EQ(se.shard(s)->pool()->num_workers(), 1);
+    cpus.push_back(se.shard(s)->pool()->WorkerPinnedCpu(0));
+    EXPECT_EQ(cpus.back(), s % Nproc()) << "shard " << s;
+  }
+  if (Nproc() >= 4) {
+    std::sort(cpus.begin(), cpus.end());
+    EXPECT_EQ(cpus, (std::vector<int>{0, 1, 2, 3}));
+  }
+}
+
+TEST(ShardPlacement, NoPinningLeavesWorkersUnpinned) {
+  EngineOptions opts;
+  opts.num_workers = 2;
+  opts.pin_threads = false;
+  ShardedEngine se(SmallTopo(), 2, opts);
+  for (int s = 0; s < 2; ++s) {
+    for (int w = 0; w < 2; ++w) {
+      EXPECT_EQ(se.shard(s)->pool()->WorkerPinnedCpu(w), -1);
+    }
+  }
 }
 
 // --- exchange correctness ---------------------------------------------------
