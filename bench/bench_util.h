@@ -49,6 +49,27 @@ inline std::string GitSha() {
   return sha.empty() ? "unknown" : sha;
 }
 
+// The host's transparent-huge-page mode — the bracketed word of
+// /sys/kernel/mm/transparent_hugepage/enabled (read only), for the
+// reports' host block; "unknown" where the file is missing.
+inline std::string ThpMode() {
+  std::string mode = "unknown";
+  if (FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled",
+                           "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof buf, f) != nullptr) {
+      const std::string line = buf;
+      const size_t open = line.find('[');
+      const size_t close = line.find(']', open);
+      if (open != std::string::npos && close != std::string::npos) {
+        mode = line.substr(open + 1, close - open - 1);
+      }
+    }
+    std::fclose(f);
+  }
+  return mode;
+}
+
 inline double GetSf(double def) {
   if (const char* env = std::getenv("MORSEL_BENCH_SF")) {
     double v = std::atof(env);

@@ -11,14 +11,21 @@
 //  - sel-aware probe (DESIGN.md §10/§15): chunks arriving with a sparse
 //    selection (~6% of rows survive an upstream filter), probed in
 //    place through the selection
+//  - large join build (DESIGN.md §17): TPC-H Q21's l2 build side, 6M
+//    rows x 2 int64, materialized, sized and inserted as the engine
+//    does, in ns per build row — the path breaker memory on 2 MiB pages
+//    and the first-touch-zeroed table speed up
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "exec/hash_join.h"
@@ -398,6 +405,127 @@ void BM_ProbePipelineSelChain(benchmark::State& state) {
 
 BENCHMARK(BM_ProbePipelineSelChain)->Unit(benchmark::kMillisecond);
 
+// --- large join build ------------------------------------------------------
+//
+// Q21's l2 side at SF 1: 6M (l_orderkey, l_suppkey) rows, about four per
+// order key, build-keyed on the order key. Each iteration runs the
+// engine's three build steps on `threads` threads, as the worker pool
+// would: every thread materializes its slice through HashBuildSink into
+// its own storage area, one thread runs Finalize (FinishMaterialize
+// sizes and allocates the table), then every thread inserts its own
+// area through HashInsertJob in 100k-row morsels. Teardown (freeing the
+// areas and the table) is timed too. Counters: ns per build row in
+// total and per step.
+
+constexpr int64_t kLargeBuild = 6'000'000;
+
+struct LargeBuildInput {
+  std::vector<int64_t> orderkey, suppkey;
+  LargeBuildInput() : orderkey(kLargeBuild), suppkey(kLargeBuild) {
+    Rng rng(21);
+    for (int64_t i = 0; i < kLargeBuild; ++i) {
+      orderkey[i] = i / 4 * 32 + rng.Uniform(0, 7);  // sparse, ascending
+      suppkey[i] = rng.Uniform(1, 10000);
+    }
+  }
+};
+
+void BM_JoinBuildLarge(benchmark::State& state) {
+  static LargeBuildInput* in = new LargeBuildInput();
+  const int threads = static_cast<int>(state.range(0));
+  Topology topo(1, threads, InterconnectKind::kFullyConnected);
+  MemStatsRegistry stats(threads);
+  std::vector<WorkerContext> wctx(threads);
+  for (int t = 0; t < threads; ++t) {
+    wctx[t].worker_id = t;
+    wctx[t].core = t;
+    wctx[t].topo = &topo;
+    wctx[t].traffic = stats.worker(t);
+  }
+  auto parallel = [threads](auto&& fn) {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < threads; ++t) ts.emplace_back(fn, t);
+    for (auto& th : ts) th.join();
+  };
+  using Clock = std::chrono::steady_clock;
+  auto ns_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+        .count();
+  };
+  double mat_ns = 0, fin_ns = 0, ins_ns = 0, total_ns = 0;
+  for (auto _ : state) {
+    const Clock::time_point start = Clock::now();
+    {
+      auto join = std::make_unique<JoinState>(
+          std::vector<LogicalType>{LogicalType::kInt64, LogicalType::kInt64},
+          1, JoinKind::kInner, threads);
+      HashBuildSink sink(join.get());
+      parallel([&](int t) {
+        ExecContext ctx;
+        ctx.worker = &wctx[t];
+        const int64_t begin = kLargeBuild * t / threads;
+        const int64_t end = kLargeBuild * (t + 1) / threads;
+        for (int64_t base = begin; base < end; base += kChunkCapacity) {
+          Chunk chunk;
+          chunk.n = static_cast<int>(
+              std::min<int64_t>(kChunkCapacity, end - base));
+          chunk.cols = {
+              Vector{LogicalType::kInt64, in->orderkey.data() + base},
+              Vector{LogicalType::kInt64, in->suppkey.data() + base}};
+          sink.Consume(chunk, ctx);
+          ctx.arena.Reset();
+        }
+      });
+      mat_ns += ns_since(start);
+
+      const Clock::time_point fin = Clock::now();
+      {
+        ExecContext ctx;
+        ctx.worker = &wctx[0];
+        sink.Finalize(ctx);
+      }
+      fin_ns += ns_since(fin);
+
+      const Clock::time_point ins = Clock::now();
+      HashInsertJob insert(nullptr, "insert", join.get(), {});
+      parallel([&](int t) {
+        const RowBuffer* buf = join->buffer_by_index(t);
+        if (buf == nullptr) return;
+        constexpr uint64_t kMorsel = 100'000;
+        for (uint64_t b = 0; b < buf->rows(); b += kMorsel) {
+          Morsel m;
+          m.partition = t;
+          m.begin = b;
+          m.end = std::min<uint64_t>(buf->rows(), b + kMorsel);
+          insert.RunMorsel(m, wctx[t]);
+        }
+      });
+      ins_ns += ns_since(ins);
+      if (join->table()->LookupHead(
+              TupleLayout::GetHash(join->buffer_by_index(0)->row(0)),
+              true) == nullptr) {
+        state.SkipWithError("inserted row not found");
+      }
+    }
+    const double elapsed = ns_since(start);
+    total_ns += elapsed;
+    state.SetIterationTime(elapsed * 1e-9);
+  }
+  const double rows = static_cast<double>(kLargeBuild) *
+                      static_cast<double>(state.iterations());
+  state.counters["ns_per_row"] = total_ns / rows;
+  state.counters["materialize_ns_per_row"] = mat_ns / rows;
+  state.counters["finalize_ns_per_row"] = fin_ns / rows;
+  state.counters["insert_ns_per_row"] = ins_ns / rows;
+  state.SetItemsProcessed(state.iterations() * kLargeBuild);
+}
+BENCHMARK(BM_JoinBuildLarge)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Ablation: growing a standard chaining map while inserting, vs. the
 // two-phase materialize-then-perfect-size build above.
 void BM_DynamicGrowBaseline(benchmark::State& state) {
@@ -415,4 +543,19 @@ BENCHMARK(BM_DynamicGrowBaseline)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace morsel
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "nproc", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext(
+      "simulated_topology",
+      "1 socket x 1 core (threads:N benchmarks: 1 socket x N cores)");
+  benchmark::AddCustomContext("build_type", morsel::bench::kBuildType);
+  benchmark::AddCustomContext("git_sha", morsel::bench::GitSha());
+  benchmark::AddCustomContext("transparent_hugepage",
+                              morsel::bench::ThpMode());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -9,7 +9,9 @@
 # Output, in the repository root:
 #   BENCH_micro_hash_table.json    — tagged-hash-table + probe pipeline,
 #                                    incl. the sel-aware probe on
-#                                    sparse chunks
+#                                    sparse chunks and the Q21-shaped
+#                                    6M-row join build (ns per build
+#                                    row); host block incl. THP mode
 #   BENCH_micro_merge_join.json    — hash vs MPSM merge join (uniform /
 #                                    skewed / presorted inputs)
 #   BENCH_micro_plan_lowering.json — logical-plan build / physical
@@ -55,7 +57,10 @@
 #
 # A binary whose benchmarks are all excluded by the filter leaves its
 # checked-in report untouched (the trajectory files must never be
-# clobbered with empty runs).
+# clobbered with empty runs). The full 1024-session serve_mixed run
+# happens only under the default filter or one that names serve_mixed;
+# MORSEL_SERVE_SMOKE=1 runs its smoke whatever the filter (it writes
+# its own file, never the checked-in report).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -109,6 +114,8 @@ if [[ ! -x "$SERVE_BIN" ]]; then
 fi
 if [[ "${MORSEL_SERVE_SMOKE:-0}" == "1" ]]; then
   "$SERVE_BIN" --smoke --out=BENCH_serve_mixed_smoke.json
-else
+elif [[ "$FILTER" == ".*" || "$FILTER" == *serve_mixed* ]]; then
   "$SERVE_BIN" --out=BENCH_serve_mixed.json
+else
+  echo "filter '$FILTER' does not name serve_mixed; kept existing BENCH_serve_mixed.json"
 fi

@@ -256,20 +256,11 @@ void AggPhase1Sink::ConsumeRadix(Chunk& chunk, ExecContext& ctx,
   // AppendRows zero-filled the headers (next = null); store the hashes
   // and the key fields, then the initial states.
   for (int i = 0; i < n; ++i) TupleLayout::SetHash(dest[i], hashes[i]);
-  for (int k = 0; k < state_->num_keys(); ++k) {
-    const Vector& v = chunk.cols[k];
-    if (layout.field_type(k) == LogicalType::kString) {
-      const std::string_view* src = v.str();
-      for (int i = 0; i < n; ++i) {
-        layout.SetStr(dest[i], k,
-                      state_->InternString(wid, src[chunk.RowAt(i)]));
-      }
-    } else {
-      for (int i = 0; i < n; ++i) {
-        layout.StoreFromVector(dest[i], k, v, chunk.RowAt(i));
-      }
-    }
-  }
+  layout.StoreColumns(chunk, state_->num_keys(),
+                      [dest](int k) { return dest[k]; },
+                      [this, wid](std::string_view s) {
+                        return state_->InternString(wid, s);
+                      });
   state_->FoldInput(dest, /*fresh=*/nullptr, chunk, 0, n);
   ctx.traffic()->OnWrite(socket, socket,
                          static_cast<uint64_t>(n) * layout.row_size());

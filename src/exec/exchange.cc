@@ -97,26 +97,18 @@ void ExchangeSendSink::Consume(Chunk& chunk, ExecContext& ctx) {
       [&](int b) { return set->buffer(wid, b, socket); });
   for (int k = 0; k < n; ++k) TupleLayout::SetHash(dest[k], hashes[k]);
 
+  // Rows outlive this query's arenas and tables on other shards never
+  // see this shard's storage: deep-copy string payloads into the
+  // channel's per-(sender, worker) arena, fetched on the first string.
   Arena* intern = nullptr;
-  for (int f = 0; f < layout.num_fields(); ++f) {
-    const Vector& v = chunk.cols[f];
-    if (v.type == LogicalType::kString) {
-      // Rows outlive this query's arenas and tables on other shards
-      // never see this shard's storage: deep-copy string payloads into
-      // the channel's per-(sender, worker) arena.
-      if (intern == nullptr) {
-        intern = channel_->intern_arena(sender_shard_, wid);
-      }
-      const std::string_view* s = v.str();
-      for (int k = 0; k < n; ++k) {
-        layout.SetStr(dest[k], f, intern->CopyString(s[chunk.RowAt(k)]));
-      }
-    } else {
-      for (int k = 0; k < n; ++k) {
-        layout.StoreFromVector(dest[k], f, v, chunk.RowAt(k));
-      }
-    }
-  }
+  layout.StoreColumns(chunk, layout.num_fields(),
+                      [dest](int k) { return dest[k]; },
+                      [&](std::string_view s) {
+                        if (intern == nullptr) {
+                          intern = channel_->intern_arena(sender_shard_, wid);
+                        }
+                        return intern->CopyString(s);
+                      });
   ctx.traffic()->OnWrite(socket, socket,
                          static_cast<uint64_t>(n) * layout.row_size());
 }

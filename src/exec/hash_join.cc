@@ -93,34 +93,27 @@ std::vector<MorselRange> JoinState::InsertRanges() const {
 
 void HashBuildSink::Consume(Chunk& chunk, ExecContext& ctx) {
   const TupleLayout& layout = state_->layout();
-  int wid = ctx.worker->worker_id;
+  const int wid = ctx.worker->worker_id;
   RowBuffer* buf = state_->buffer(wid, ctx.socket());
-  // Reads through the selection vector: materializing row-wise anyway,
-  // a gather-compaction of every column first would be pure overhead.
+  // Column at a time through the selection vector: materializing
+  // row-wise anyway, a gather-compaction of every column first would be
+  // pure overhead. AppendRows zero-fills, which clears next and the
+  // kRightOuterMark marker.
   const int active = chunk.ActiveRows();
+  if (active == 0) return;
   const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
-  for (int k = 0; k < active; ++k) {
-    const int i = chunk.RowAt(k);
-    uint8_t* row = buf->AppendRow();
-    TupleLayout::SetNext(row, nullptr);
-    TupleLayout::SetHash(row, hashes[k]);
-    if (layout.has_marker()) {
-      std::memset(row + layout.marker_offset(), 0, 8);
-    }
-    for (int f = 0; f < layout.num_fields(); ++f) {
-      if (layout.field_type(f) == LogicalType::kString) {
-        // Chunk strings may live in the per-morsel arena; intern them.
-        layout.SetStr(row, f,
-                      state_->InternString(wid, chunk.cols[f].str()[i]));
-      } else {
-        layout.StoreFromVector(row, f, chunk.cols[f], i);
-      }
-    }
-  }
+  const size_t rs = static_cast<size_t>(layout.row_size());
+  uint8_t* base = buf->AppendRows(static_cast<size_t>(active));
+  auto row_at = [base, rs](int k) { return base + k * rs; };
+  for (int k = 0; k < active; ++k) TupleLayout::SetHash(row_at(k), hashes[k]);
+  // Chunk strings may live in the per-morsel arena; intern them.
+  layout.StoreColumns(chunk, layout.num_fields(), row_at,
+                      [this, wid](std::string_view s) {
+                        return state_->InternString(wid, s);
+                      });
   // Materialization writes NUMA-locally (§2, Figure 3).
   ctx.traffic()->OnWrite(ctx.socket(), ctx.socket(),
-                         uint64_t{static_cast<uint64_t>(active)} *
-                             layout.row_size());
+                         uint64_t{static_cast<uint64_t>(active)} * rs);
 }
 
 void HashBuildSink::Finalize(ExecContext& ctx) {

@@ -312,50 +312,17 @@ void RunMaterializeSink::Consume(Chunk& chunk, ExecContext& ctx) {
   // every column first (the dropped rows never touch memory).
   const int n = chunk.ActiveRows();
   if (n == 0) return;
-  const int32_t* sel = chunk.sel;
   const size_t rs = static_cast<size_t>(layout.row_size());
-  // Bulk-append the active rows, then fill column-wise: the type
-  // dispatch hoists out of the row loop and each field becomes a tight
-  // strided-store loop. AppendRows zero-fills, which clears next/hash.
+  // Bulk-append the active rows, then fill column-wise (StoreColumns):
+  // each field becomes a tight strided-store loop. AppendRows
+  // zero-fills, which clears next/hash. Chunk strings may live in the
+  // per-morsel arena; intern them.
   uint8_t* base = buf->AppendRows(static_cast<size_t>(n));
-  for (int f = 0; f < layout.num_fields(); ++f) {
-    uint8_t* p = base + layout.field_offset(f);
-    const Vector& v = chunk.cols[f];
-    switch (v.type) {
-      case LogicalType::kInt32: {
-        const int32_t* src = v.i32();
-        for (int k = 0; k < n; ++k, p += rs) {
-          int64_t w = src[sel != nullptr ? sel[k] : k];  // widens to 8B
-          std::memcpy(p, &w, 8);
-        }
-        break;
-      }
-      case LogicalType::kInt64: {
-        const int64_t* src = v.i64();
-        for (int k = 0; k < n; ++k, p += rs) {
-          std::memcpy(p, src + (sel != nullptr ? sel[k] : k), 8);
-        }
-        break;
-      }
-      case LogicalType::kDouble: {
-        const double* src = v.f64();
-        for (int k = 0; k < n; ++k, p += rs) {
-          std::memcpy(p, src + (sel != nullptr ? sel[k] : k), 8);
-        }
-        break;
-      }
-      case LogicalType::kString: {
-        // Chunk strings may live in the per-morsel arena; intern them.
-        const std::string_view* src = v.str();
-        for (int k = 0; k < n; ++k, p += rs) {
-          std::string_view sv =
-              runs_->InternString(wid, src[sel != nullptr ? sel[k] : k]);
-          std::memcpy(p, &sv, sizeof(sv));
-        }
-        break;
-      }
-    }
-  }
+  layout.StoreColumns(chunk, layout.num_fields(),
+                      [base, rs](int k) { return base + k * rs; },
+                      [this, wid](std::string_view s) {
+                        return runs_->InternString(wid, s);
+                      });
   // Materialization writes NUMA-locally (§2, Figure 3).
   ctx.traffic()->OnWrite(ctx.socket(), ctx.socket(),
                          uint64_t{static_cast<uint64_t>(n)} * rs);
@@ -374,7 +341,6 @@ void RunMaterializeSink::ConsumeRadix(Chunk& chunk, ExecContext& ctx) {
   // is then the row buffer slot for selected row chunk.RowAt(k).
   const int n = chunk.ActiveRows();
   if (n == 0) return;
-  const int32_t* sel = chunk.sel;
   std::unique_ptr<RadixScatter>& sc = scatters_[wid];
   if (sc == nullptr) {
     sc = std::make_unique<RadixScatter>(&layout, runs_->radix_parts());
@@ -384,43 +350,11 @@ void RunMaterializeSink::ConsumeRadix(Chunk& chunk, ExecContext& ctx) {
   uint8_t** dest = sc->Scatter(hashes, n, ctx, [&](int p) {
     return runs_->radix_run(wid, p, socket);
   });
-  for (int f = 0; f < layout.num_fields(); ++f) {
-    const size_t off = static_cast<size_t>(layout.field_offset(f));
-    const Vector& v = chunk.cols[f];
-    switch (v.type) {
-      case LogicalType::kInt32: {
-        const int32_t* src = v.i32();
-        for (int k = 0; k < n; ++k) {
-          int64_t w = src[sel != nullptr ? sel[k] : k];  // widens to 8B
-          std::memcpy(dest[k] + off, &w, 8);
-        }
-        break;
-      }
-      case LogicalType::kInt64: {
-        const int64_t* src = v.i64();
-        for (int k = 0; k < n; ++k) {
-          std::memcpy(dest[k] + off, src + (sel != nullptr ? sel[k] : k), 8);
-        }
-        break;
-      }
-      case LogicalType::kDouble: {
-        const double* src = v.f64();
-        for (int k = 0; k < n; ++k) {
-          std::memcpy(dest[k] + off, src + (sel != nullptr ? sel[k] : k), 8);
-        }
-        break;
-      }
-      case LogicalType::kString: {
-        const std::string_view* src = v.str();
-        for (int k = 0; k < n; ++k) {
-          std::string_view sv =
-              runs_->InternString(wid, src[sel != nullptr ? sel[k] : k]);
-          std::memcpy(dest[k] + off, &sv, sizeof(sv));
-        }
-        break;
-      }
-    }
-  }
+  layout.StoreColumns(chunk, layout.num_fields(),
+                      [dest](int k) { return dest[k]; },
+                      [this, wid](std::string_view s) {
+                        return runs_->InternString(wid, s);
+                      });
   ctx.traffic()->OnWrite(socket, socket,
                          static_cast<uint64_t>(n) *
                              static_cast<uint64_t>(layout.row_size()));

@@ -120,24 +120,20 @@ void TopKSink::Consume(Chunk& chunk, ExecContext& ctx) {
   if (heaps_[wid] == nullptr) heaps_[wid] = std::make_unique<Heap>();
   Heap& heap = *heaps_[wid];
 
-  // Assemble each row in a stack buffer, then offer it to the heap;
-  // reads through the selection vector.
-  std::vector<uint8_t> row(layout.row_size());
-  const int active = chunk.ActiveRows();
-  for (int k = 0; k < active; ++k) {
-    const int i = chunk.RowAt(k);
-    TupleLayout::SetNext(row.data(), nullptr);
-    TupleLayout::SetHash(row.data(), 0);
-    for (int f = 0; f < layout.num_fields(); ++f) {
-      if (layout.field_type(f) == LogicalType::kString) {
-        layout.SetStr(row.data(), f,
-                      state_->InternString(wid, chunk.cols[f].str()[i]));
-      } else {
-        layout.StoreFromVector(row.data(), f, chunk.cols[f], i);
-      }
-    }
-    HeapPush(heap, row.data());
-  }
+  // Assemble the chunk's rows column at a time in arena scratch (zeroed
+  // next/hash headers), reading through the selection vector, then
+  // offer each to the heap.
+  const int n = chunk.ActiveRows();
+  if (n == 0) return;
+  const size_t rs = static_cast<size_t>(layout.row_size());
+  uint8_t* rows = ctx.arena.AllocArray<uint8_t>(n * rs);
+  std::memset(rows, 0, n * rs);
+  auto row_at = [rows, rs](int k) { return rows + k * rs; };
+  layout.StoreColumns(chunk, layout.num_fields(), row_at,
+                      [this, wid](std::string_view s) {
+                        return state_->InternString(wid, s);
+                      });
+  for (int k = 0; k < n; ++k) HeapPush(heap, row_at(k));
 }
 
 void TopKSink::Finalize(ExecContext& ctx) {

@@ -16,18 +16,21 @@ TaggedHashTable::TaggedHashTable(uint64_t count) {
     ++bits;
   }
   shift_ = 64 - bits;
+  // Placement and zeroing, paper §4.2: a large slot array is a fresh
+  // mapping on 2 MiB pages, zero by construction, so no zeroing pass runs
+  // here in the build's serial Finalize — each page is zeroed by the
+  // kernel when an inserting worker first writes to it, in parallel and
+  // inside insert morsels. Small arrays (NumaAlloc) and a refused
+  // huge-page advice get the explicit memset: lazily faulted 4 KiB pages
+  // cost the inserts more than one up-front pass (DESIGN.md §17).
+  bool on_huge_pages = false;
   slots_ = static_cast<std::atomic<uint64_t>*>(
-      NumaAlloc(n_slots_ * sizeof(std::atomic<uint64_t>),
-                kInterleavedSocket));
-  // mmap-style zero page: explicit memset stands in for lazily zeroed
-  // pages; the cost shows up in the build phase as it would in HyPer's
-  // first-touch.
-  std::memset(static_cast<void*>(slots_), 0,
-              n_slots_ * sizeof(std::atomic<uint64_t>));
+      NumaAllocBreaker(bytes(), kInterleavedSocket, &on_huge_pages));
+  if (!on_huge_pages) std::memset(static_cast<void*>(slots_), 0, bytes());
 }
 
 TaggedHashTable::~TaggedHashTable() {
-  NumaFree(slots_, n_slots_ * sizeof(std::atomic<uint64_t>));
+  NumaFreeBreaker(slots_, bytes());
 }
 
 void TaggedHashTable::Insert(uint8_t* tuple, uint64_t hash) {

@@ -29,7 +29,11 @@ namespace morsel {
 // the next power of two >= 2 * count.
 //
 // Placement: the array is logically interleaved across all sockets
-// (kInterleavedSocket), as the paper does with 2 MB pages.
+// (kInterleavedSocket) in 2 MB chunks, and from 4 MiB up it physically
+// sits on 2 MiB pages of its own mapping (NumaAllocBreaker), as the
+// paper allocates it. Such a fresh mapping reads as zero, so the
+// constructor does not zero it: the inserting workers' first writes do,
+// page by page (DESIGN.md §17).
 class TaggedHashTable {
  public:
   // Creates a table with capacity for `count` entries (perfect sizing
@@ -41,6 +45,8 @@ class TaggedHashTable {
   TaggedHashTable& operator=(const TaggedHashTable&) = delete;
 
   uint64_t num_slots() const { return n_slots_; }
+  // Size of the slot array.
+  size_t bytes() const { return n_slots_ * sizeof(std::atomic<uint64_t>); }
   uint64_t SlotOf(uint64_t hash) const { return hash >> shift_; }
   // Byte offset of a slot, for interleaved traffic accounting.
   uint64_t SlotByteOffset(uint64_t hash) const { return SlotOf(hash) * 8; }

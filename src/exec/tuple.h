@@ -88,8 +88,31 @@ class TupleLayout {
     std::memcpy(row + offsets_[f], &v, sizeof(v));
   }
 
+  // Column-at-a-time materialization, the breakers' row store: for f in
+  // [0, num_fields), writes chunk column f into field f of the chunk's
+  // selected rows — selected row k (physical row RowAt(k)) goes to tuple
+  // row_at(k). One typed loop per field, with no per-row type switch.
+  // int32 widens to its 8-byte slot; strings pass through `intern`
+  // first (a breaker's rows outlive the morsel arena they point into).
+  template <typename RowAt, typename Intern>
+  void StoreColumns(const Chunk& chunk, int num_fields, RowAt row_at,
+                    Intern intern) const {
+    const int n = chunk.ActiveRows();
+    const int32_t* sel = chunk.sel;
+    for (int f = 0; f < num_fields; ++f) {
+      if (sel == nullptr) {
+        StoreField(f, chunk.cols[f], n, [](int k) { return k; }, row_at,
+                   intern);
+      } else {
+        StoreField(f, chunk.cols[f], n, [sel](int k) { return sel[k]; },
+                   row_at, intern);
+      }
+    }
+  }
+
   // Copies value `i` of chunk vector `v` into field `f` (types must
-  // match; int32 widens to an 8-byte slot).
+  // match; int32 widens to an 8-byte slot). Per-row form, for a row
+  // stored on its own (a new group in the phase-1 local table).
   void StoreFromVector(uint8_t* row, int f, const Vector& v, int i) const {
     switch (v.type) {
       case LogicalType::kInt32:
@@ -108,6 +131,44 @@ class TupleLayout {
   }
 
  private:
+  template <typename Src, typename RowAt, typename Intern>
+  void StoreField(int f, const Vector& v, int n, Src src, RowAt row_at,
+                  Intern& intern) const {
+    const int off = offsets_[f];
+    switch (v.type) {
+      case LogicalType::kInt32: {
+        const int32_t* p = v.i32();
+        for (int k = 0; k < n; ++k) {
+          const int64_t w = p[src(k)];
+          std::memcpy(row_at(k) + off, &w, 8);
+        }
+        break;
+      }
+      case LogicalType::kInt64: {
+        const int64_t* p = v.i64();
+        for (int k = 0; k < n; ++k) {
+          std::memcpy(row_at(k) + off, p + src(k), 8);
+        }
+        break;
+      }
+      case LogicalType::kDouble: {
+        const double* p = v.f64();
+        for (int k = 0; k < n; ++k) {
+          std::memcpy(row_at(k) + off, p + src(k), 8);
+        }
+        break;
+      }
+      case LogicalType::kString: {
+        const std::string_view* p = v.str();
+        for (int k = 0; k < n; ++k) {
+          const std::string_view s = intern(p[src(k)]);
+          std::memcpy(row_at(k) + off, &s, sizeof(s));
+        }
+        break;
+      }
+    }
+  }
+
   std::vector<LogicalType> types_;
   std::vector<int> offsets_;
   int marker_offset_ = -1;

@@ -36,12 +36,34 @@ inline int InterleavedSocketOf(size_t byte_offset, int num_sockets) {
 void* NumaAlloc(size_t bytes, int socket);
 void NumaFree(void* p, size_t bytes);
 
-// Total bytes currently allocated through NumaAlloc (leak checks in tests).
+// Total bytes currently allocated through NumaAlloc and NumaAllocBreaker
+// (leak checks in tests).
 size_t NumaAllocatedBytes();
+
+// Breaker memory on 2 MiB pages (DESIGN.md §17). The paper puts the join
+// hash table and the tuple storage areas on 2 MB pages and takes the
+// table from mmap, so each page is zeroed when a worker first writes it
+// (§4.2). Requests of at least kHugePageMinBytes get a fresh anonymous
+// mapping, 2 MiB aligned, rounded up to whole 2 MiB pages and advised
+// MADV_HUGEPAGE (the process's own mapping only); smaller requests take
+// NumaAlloc. Charges, frees and injected faults follow NumaAlloc's rules
+// on the rounded size, so NumaAllocatedBytes() and the query's
+// MemoryTracker balance exactly. `on_huge_pages`, when given, reports
+// whether the kernel took the advice: only then does the memory read as
+// zero *and* get zeroed page by page on first touch (a refused advice
+// leaves a zero mapping on 4 KiB pages, whose lazy faults cost more than
+// one up-front memset). Free with NumaFreeBreaker and the same `bytes`.
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
+inline constexpr size_t kHugePageMinBytes = size_t{4} << 20;
+void* NumaAllocBreaker(size_t bytes, int socket,
+                       bool* on_huge_pages = nullptr);
+void NumaFreeBreaker(void* p, size_t bytes);
 
 // Minimal growable array with a NUMA placement tag. Move-only. Only
 // trivially copyable element types are supported (checked at compile
-// time); the engine stores raw column data, offsets and tuples in these.
+// time). Its one user is RowBuffer — join storage areas, radix
+// partitions, run sets and exchange buffers — so its memory is breaker
+// memory: 4 MiB and larger capacities sit on 2 MiB pages.
 template <typename T>
 class NumaVector {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -122,15 +144,15 @@ class NumaVector {
 
  private:
   void Regrow(size_t new_cap) {
-    T* nd = static_cast<T*>(NumaAlloc(new_cap * sizeof(T), socket_));
+    T* nd = static_cast<T*>(NumaAllocBreaker(new_cap * sizeof(T), socket_));
     if (size_ > 0) std::memcpy(nd, data_, size_ * sizeof(T));
-    if (data_ != nullptr) NumaFree(data_, capacity_ * sizeof(T));
+    if (data_ != nullptr) NumaFreeBreaker(data_, capacity_ * sizeof(T));
     data_ = nd;
     capacity_ = new_cap;
   }
 
   void Release() {
-    if (data_ != nullptr) NumaFree(data_, capacity_ * sizeof(T));
+    if (data_ != nullptr) NumaFreeBreaker(data_, capacity_ * sizeof(T));
     data_ = nullptr;
     size_ = capacity_ = 0;
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -236,6 +237,120 @@ TEST(BatchedProbe, RightOuterMarkMarksProbedTuples) {
   EXPECT_EQ(probed.rows.size(), 134u);  // 67 probe keys x 2 build rows
   EXPECT_EQ(probed.rows, expect_probed);
   EXPECT_EQ(unmatched.rows, expect_unmatched);
+}
+
+// The build materializes column at a time (TupleLayout::StoreColumns).
+// Its rows must equal, byte for byte, what the per-row store wrote:
+// header (null next, the key hash), zeroed kRightOuterMark marker and
+// every field, over all four LogicalTypes, a dense chunk and sparse
+// selections; strings compare by content, since both intern them.
+TEST(BatchedProbe, ColumnAtATimeBuildMatchesPerRowBuild) {
+  const Topology& topo = SmallTopo();
+  const std::vector<LogicalType> types = {
+      LogicalType::kInt64, LogicalType::kInt32, LogicalType::kDouble,
+      LogicalType::kString, LogicalType::kInt64};
+  JoinState state(types, /*num_keys=*/2, JoinKind::kRightOuterMark, 1);
+  const TupleLayout& layout = state.layout();
+  ASSERT_TRUE(layout.has_marker());
+  MemStatsRegistry stats(1);
+  WorkerContext wctx;
+  wctx.topo = &topo;
+  wctx.traffic = stats.worker(0);
+  ExecContext ctx;
+  ctx.worker = &wctx;
+
+  constexpr int kRows = 1000;
+  std::vector<int64_t> c0(kRows), c4(kRows);
+  std::vector<int32_t> c1(kRows);
+  std::vector<double> c2(kRows);
+  std::vector<std::string> text(kRows);
+  std::vector<std::string_view> c3(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    c0[i] = i * 1000003LL - 7;
+    c1[i] = -i * 31;
+    c2[i] = i * 0.25 - 3.5;
+    text[i] = std::string(static_cast<size_t>(i % 23), 'a' + i % 26);
+    c3[i] = text[i];
+    c4[i] = ~static_cast<int64_t>(i);
+  }
+  // A null selection is a dense chunk; otherwise the first `sel_n`
+  // entries of `sel` select.
+  auto make_chunk = [&](const int32_t* sel, int sel_n) {
+    Chunk chunk;
+    chunk.n = kRows;
+    chunk.cols = {Vector{LogicalType::kInt64, c0.data()},
+                  Vector{LogicalType::kInt32, c1.data()},
+                  Vector{LogicalType::kDouble, c2.data()},
+                  Vector{LogicalType::kString, c3.data()},
+                  Vector{LogicalType::kInt64, c4.data()}};
+    chunk.sel = sel;
+    chunk.sel_n = sel_n;
+    return chunk;
+  };
+  // Every 7th row, a single row, and an empty selection.
+  std::vector<int32_t> sparse;
+  for (int i = 3; i < kRows; i += 7) sparse.push_back(i);
+  const int32_t last = kRows - 1;
+  const std::vector<std::pair<const int32_t*, int>> selections = {
+      {nullptr, 0},
+      {sparse.data(), static_cast<int>(sparse.size())},
+      {&last, 1},
+      {sparse.data(), 0}};
+
+  // Dirty the storage area first (markers set, as a probe would), then
+  // clear it: the rows the build appends next reuse that memory.
+  HashBuildSink sink(&state);
+  RowBuffer* buf = state.buffer(0, 0);
+  {
+    Chunk dense = make_chunk(nullptr, 0);
+    sink.Consume(dense, ctx);
+    for (size_t r = 0; r < buf->rows(); ++r) {
+      std::memset(buf->row(r) + layout.marker_offset(), 0xFF, 8);
+      TupleLayout::SetNext(buf->row(r), buf->row(0));
+    }
+    buf->Clear();
+  }
+
+  // Reference: the per-row store the build used before.
+  TupleLayout ref_layout(types, /*with_marker=*/true);
+  RowBuffer ref(&ref_layout, 0);
+  const std::vector<int> key_cols = {0, 1};
+  for (const auto& [sel, sel_n] : selections) {
+    Chunk chunk = make_chunk(sel, sel_n);
+    const uint64_t* hashes = HashRowsPacked(chunk, key_cols, ctx);
+    for (int k = 0; k < chunk.ActiveRows(); ++k) {
+      uint8_t* row = ref.AppendRow();
+      TupleLayout::SetNext(row, nullptr);
+      TupleLayout::SetHash(row, hashes[k]);
+      std::memset(row + ref_layout.marker_offset(), 0, 8);
+      for (int f = 0; f < ref_layout.num_fields(); ++f) {
+        ref_layout.StoreFromVector(row, f, chunk.cols[f], chunk.RowAt(k));
+      }
+    }
+    sink.Consume(chunk, ctx);
+    ctx.arena.Reset();
+  }
+
+  ASSERT_EQ(buf->rows(), ref.rows());
+  ASSERT_EQ(ref.rows(), kRows + sparse.size() + 1);
+  const int str_off = layout.field_offset(3);
+  for (size_t r = 0; r < ref.rows(); ++r) {
+    const uint8_t* got = buf->row(r);
+    const uint8_t* want = ref.row(r);
+    // Everything but the string field's view bytes is bit-identical.
+    EXPECT_EQ(std::memcmp(got, want, str_off), 0) << "row " << r;
+    const int after = str_off + 16;
+    EXPECT_EQ(std::memcmp(got + after, want + after,
+                          layout.row_size() - after),
+              0)
+        << "row " << r;
+    EXPECT_EQ(layout.GetStr(got, 3), ref_layout.GetStr(want, 3))
+        << "row " << r;
+    EXPECT_EQ(TupleLayout::GetNext(got), nullptr);
+    uint64_t marker;
+    std::memcpy(&marker, got + layout.marker_offset(), 8);
+    EXPECT_EQ(marker, 0u) << "row " << r;
+  }
 }
 
 // Probing without pointer tags walks every chain head the tag filter

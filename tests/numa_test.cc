@@ -1,12 +1,20 @@
 // Unit tests for src/numa: topology & distances, tagged allocation,
-// traffic accounting.
+// breaker memory on 2 MiB pages, traffic accounting.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "common/hash.h"
+#include "common/memory_tracker.h"
+#include "exec/tagged_hash_table.h"
+#include "exec/tuple.h"
 #include "numa/allocator.h"
 #include "numa/mem_stats.h"
 #include "numa/pinning.h"
 #include "numa/topology.h"
+#include "test_util.h"
 
 namespace morsel {
 namespace {
@@ -122,6 +130,152 @@ TEST(NumaVector, BulkAppend) {
   for (int rep = 0; rep < 10; ++rep) v.append(chunk, 256);
   ASSERT_EQ(v.size(), 2560u);
   EXPECT_EQ(v[256 * 3 + 42], 42);
+}
+
+TEST(BreakerMemory, LargeRequestIsAZeroHugePageAlignedMapping) {
+  const size_t before = NumaAllocatedBytes();
+  const size_t bytes = kHugePageMinBytes + 100;  // rounds up to 6 MiB
+  MemoryTracker tracker;
+  {
+    ScopedAllocationGovernor gov(&tracker, nullptr);
+    auto* p = static_cast<uint8_t*>(NumaAllocBreaker(bytes, 0));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kHugePageBytes, 0u);
+    EXPECT_EQ(NumaAllocatedBytes(), before + 3 * kHugePageBytes);
+    EXPECT_GE(tracker.used(), static_cast<int64_t>(3 * kHugePageBytes));
+    for (size_t i = 0; i < bytes; i += 4096) ASSERT_EQ(p[i], 0) << i;
+    EXPECT_EQ(p[bytes - 1], 0);
+    p[bytes - 1] = 7;  // the whole requested range is writable
+    NumaFreeBreaker(p, bytes);
+  }
+  // The rounded size is charged and returned, to the byte.
+  EXPECT_EQ(tracker.used(), 0);
+  EXPECT_EQ(NumaAllocatedBytes(), before);
+}
+
+TEST(BreakerMemory, SmallRequestTakesNumaAlloc) {
+  const size_t before = NumaAllocatedBytes();
+  bool huge = true;
+  void* p = NumaAllocBreaker(kHugePageMinBytes - 1, 0, &huge);
+  EXPECT_FALSE(huge);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kCacheLineSize, 0u);
+  EXPECT_EQ(NumaAllocatedBytes(), before + kHugePageMinBytes);
+  NumaFreeBreaker(p, kHugePageMinBytes - 1);
+  EXPECT_EQ(NumaAllocatedBytes(), before);
+}
+
+TEST(BreakerMemory, LargeHashTableReadsEmptyBeforeInsert) {
+  // 1M entries -> 2M slots, a 16 MiB slot array: the huge-page path,
+  // which skips the constructor's memset when the advice is taken. Each
+  // table follows a freed, dirtied allocation of its size, which an
+  // allocator that recycled memory would hand straight back.
+  constexpr size_t kSlotBytes = size_t{16} << 20;
+  for (int round = 0; round < 2; ++round) {
+    {
+      void* dirty = NumaAllocBreaker(kSlotBytes, 0);
+      std::memset(dirty, 0xA5, kSlotBytes);
+      NumaFreeBreaker(dirty, kSlotBytes);
+    }
+    TaggedHashTable ht(uint64_t{1} << 20);
+    ASSERT_EQ(ht.bytes(), kSlotBytes);
+    for (uint64_t i = 0; i < 20000; ++i) {
+      const uint64_t h = Hash64(i * 7919 + static_cast<uint64_t>(round));
+      ASSERT_EQ(ht.LookupHead(h, /*use_tagging=*/true), nullptr) << i;
+      ASSERT_EQ(ht.LookupHead(h, /*use_tagging=*/false), nullptr) << i;
+      ASSERT_EQ(ht.SlotValue(h), 0u) << i;
+    }
+    // The first slot and the last one, at both ends of the mapping.
+    EXPECT_EQ(ht.SlotValue(0), 0u);
+    EXPECT_EQ(ht.SlotValue(~uint64_t{0}), 0u);
+    // Inserts land on the lazily zeroed pages and read back.
+    TupleLayout layout({LogicalType::kInt64}, false);
+    RowBuffer rows(&layout, 0);
+    for (uint64_t i = 0; i < 1000; ++i) {
+      TupleLayout::SetHash(rows.AppendRow(), Hash64(i));
+    }
+    for (uint64_t i = 0; i < 1000; ++i) ht.Insert(rows.row(i), Hash64(i));
+    for (uint64_t i = 0; i < 1000; ++i) {
+      bool found = false;
+      for (uint8_t* t = ht.LookupHead(Hash64(i), true); t != nullptr;
+           t = TupleLayout::GetNext(t)) {
+        found |= t == rows.row(i);
+      }
+      ASSERT_TRUE(found) << i;
+    }
+  }
+}
+
+TEST(BreakerMemory, RowBufferAcrossThresholdBalancesTracker) {
+  // A governed RowBuffer grows from NumaAlloc sizes through 4 MiB into
+  // huge-page mappings (regrows free under the governor too); once it
+  // is freed, the query tracker and the process-wide counter are back
+  // where they started, to the byte.
+  const size_t before = NumaAllocatedBytes();
+  MemoryTracker tracker;
+  {
+    ScopedAllocationGovernor gov(&tracker, nullptr);
+    TupleLayout layout({LogicalType::kInt64, LogicalType::kInt64}, true);
+    {
+      RowBuffer buf(&layout, 1);
+      const size_t target = 3 * kHugePageMinBytes;
+      while (buf.bytes() < target) buf.AppendRows(1000);
+      EXPECT_GE(NumaAllocatedBytes(), before + target);
+      EXPECT_GE(tracker.used(), static_cast<int64_t>(target));
+      EXPECT_EQ(layout.GetI64(buf.row(buf.rows() - 1), 1), 0);
+    }
+  }
+  EXPECT_EQ(tracker.used(), 0);
+  EXPECT_GE(tracker.peak(), static_cast<int64_t>(3 * kHugePageMinBytes));
+  EXPECT_EQ(NumaAllocatedBytes(), before);
+}
+
+TEST(BreakerMemory, JoinBuildOverBudgetAbortsWithoutLeak) {
+  // Build side of 1M rows x 2 int64 (32-byte tuples, 32 MiB of storage
+  // areas) plus a 16 MiB slot array: every budget below ends the query
+  // as kMemoryExceeded — in the huge-page row buffers' growth or in the
+  // table allocation — and returns every byte.
+  constexpr int64_t kRows = 1 << 20;
+  std::vector<std::pair<int64_t, int64_t>> build_rows, probe_rows;
+  for (int64_t i = 0; i < kRows; ++i) {
+    // Distinct, unsorted keys: odd multipliers permute 32-bit integers.
+    build_rows.push_back(
+        {static_cast<int64_t>((uint64_t(i) * 2654435761u) & 0xFFFFFFFFu),
+         i});
+  }
+  for (int64_t i = 0; i < 1000; ++i) probe_rows.push_back(build_rows[i * 7]);
+  auto build = testutil::MakeKv(testutil::SmallTopo(), build_rows, "bk",
+                                "bv");
+  auto probe = testutil::MakeKv(testutil::SmallTopo(), probe_rows, "pk",
+                                "pv");
+  auto plan = [&] {
+    PlanBuilder b = PlanBuilder::Scan(build.get(), {"bk", "bv"});
+    PlanBuilder p = PlanBuilder::Scan(probe.get(), {"pk", "pv"});
+    p.HashJoin(std::move(b), {"pk"}, {"bk"}, {"bv"}, JoinKind::kInner);
+    p.CollectResult();
+    return p.Build();
+  };
+  EngineOptions opts;
+  opts.morsel_size = 16384;
+  opts.num_workers = 4;
+  Engine engine(testutil::SmallTopo(), opts);
+  const size_t before = NumaAllocatedBytes();
+  for (int64_t budget_mib : {6, 12, 24, 40}) {
+    auto q = engine.CreateQuery(plan());
+    q->SetMemoryBudget(budget_mib << 20);
+    ResultSet r = q->Execute();
+    EXPECT_FALSE(r.ok()) << budget_mib;
+    EXPECT_EQ(r.status().code, StatusCode::kMemoryExceeded) << budget_mib;
+  }
+  EXPECT_EQ(NumaAllocatedBytes(), before);
+  // Unbudgeted, the same build succeeds and its memory still balances.
+  {
+    auto q = engine.CreateQuery(plan());
+    ResultSet r = q->Execute();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.num_rows(), 1000);
+    EXPECT_GT(q->context()->memory_tracker().peak(),
+              static_cast<int64_t>(kHugePageMinBytes));
+  }
+  EXPECT_EQ(NumaAllocatedBytes(), before);
 }
 
 TEST(MemStats, LocalRemoteClassification) {
