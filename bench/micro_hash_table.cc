@@ -430,99 +430,279 @@ struct LargeBuildInput {
   }
 };
 
-void BM_JoinBuildLarge(benchmark::State& state) {
-  static LargeBuildInput* in = new LargeBuildInput();
-  const int threads = static_cast<int>(state.range(0));
-  Topology topo(1, threads, InterconnectKind::kFullyConnected);
-  MemStatsRegistry stats(threads);
-  std::vector<WorkerContext> wctx(threads);
-  for (int t = 0; t < threads; ++t) {
-    wctx[t].worker_id = t;
-    wctx[t].core = t;
-    wctx[t].topo = &topo;
-    wctx[t].traffic = stats.worker(t);
+// `threads` simulated workers on one socket, as the worker pool would
+// run them: each gets its own WorkerContext (storage area slot).
+struct BenchWorkers {
+  explicit BenchWorkers(int n)
+      : threads(n),
+        topo(1, n, InterconnectKind::kFullyConnected),
+        stats(n),
+        wctx(n) {
+    for (int t = 0; t < n; ++t) {
+      wctx[t].worker_id = t;
+      wctx[t].core = t;
+      wctx[t].topo = &topo;
+      wctx[t].traffic = stats.worker(t);
+    }
   }
-  auto parallel = [threads](auto&& fn) {
+  // Runs fn(t) on every worker's thread and joins them.
+  template <typename Fn>
+  void Parallel(Fn&& fn) {
     std::vector<std::thread> ts;
     for (int t = 0; t < threads; ++t) ts.emplace_back(fn, t);
     for (auto& th : ts) th.join();
-  };
-  using Clock = std::chrono::steady_clock;
-  auto ns_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-        .count();
-  };
-  double mat_ns = 0, fin_ns = 0, ins_ns = 0, total_ns = 0;
+  }
+  // Pushes worker t's slice of `n` rows of the int64 `cols` through
+  // `consume(chunk, ctx)`, one chunk at a time.
+  template <typename Fn>
+  void ForEachSlice(const std::vector<const int64_t*>& cols, int64_t n,
+                    Fn&& consume) {
+    Parallel([&](int t) {
+      ExecContext ctx;
+      ctx.worker = &wctx[t];
+      const int64_t begin = n * t / threads;
+      const int64_t end = n * (t + 1) / threads;
+      for (int64_t base = begin; base < end; base += kChunkCapacity) {
+        Chunk chunk;
+        chunk.n = static_cast<int>(
+            std::min<int64_t>(kChunkCapacity, end - base));
+        for (const int64_t* c : cols) {
+          chunk.cols.push_back(Vector{LogicalType::kInt64,
+                                      const_cast<int64_t*>(c) + base});
+        }
+        consume(chunk, ctx);
+        ctx.arena.Reset();
+      }
+    });
+  }
+
+  int threads;
+  Topology topo;
+  MemStatsRegistry stats;
+  std::vector<WorkerContext> wctx;
+};
+
+using Clock = std::chrono::steady_clock;
+
+double NsSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+}
+
+// The engine's three build steps over `n` rows of `cols` ([key,
+// payload...] int64 columns): every worker materializes its slice
+// through HashBuildSink into its own storage area, one runs Finalize
+// (FinishMaterialize sizes and allocates the table), then every worker
+// inserts its own area through HashInsertJob in 100k-row morsels. Adds
+// each step's nanoseconds to `step_ns`.
+void RunBuild(BenchWorkers& w, JoinState* join,
+              const std::vector<const int64_t*>& cols, int64_t n,
+              double step_ns[3]) {
+  const Clock::time_point start = Clock::now();
+  HashBuildSink sink(join);
+  w.ForEachSlice(cols, n,
+                 [&](Chunk& chunk, ExecContext& ctx) {
+                   sink.Consume(chunk, ctx);
+                 });
+  step_ns[0] += NsSince(start);
+
+  const Clock::time_point fin = Clock::now();
+  {
+    ExecContext ctx;
+    ctx.worker = &w.wctx[0];
+    sink.Finalize(ctx);
+  }
+  step_ns[1] += NsSince(fin);
+
+  const Clock::time_point ins = Clock::now();
+  HashInsertJob insert(nullptr, "insert", join, {});
+  w.Parallel([&](int t) {
+    const RowBuffer* buf = join->buffer_by_index(t);
+    if (buf == nullptr) return;
+    constexpr uint64_t kMorsel = 100'000;
+    for (uint64_t b = 0; b < buf->rows(); b += kMorsel) {
+      Morsel m;
+      m.partition = t;
+      m.begin = b;
+      m.end = std::min<uint64_t>(buf->rows(), b + kMorsel);
+      insert.RunMorsel(m, w.wctx[t]);
+    }
+  });
+  step_ns[2] += NsSince(ins);
+}
+
+void BM_JoinBuildLarge(benchmark::State& state) {
+  static LargeBuildInput* in = new LargeBuildInput();
+  BenchWorkers w(static_cast<int>(state.range(0)));
+  double step_ns[3] = {0, 0, 0};
+  double total_ns = 0;
   for (auto _ : state) {
     const Clock::time_point start = Clock::now();
     {
       auto join = std::make_unique<JoinState>(
           std::vector<LogicalType>{LogicalType::kInt64, LogicalType::kInt64},
-          1, JoinKind::kInner, threads);
-      HashBuildSink sink(join.get());
-      parallel([&](int t) {
-        ExecContext ctx;
-        ctx.worker = &wctx[t];
-        const int64_t begin = kLargeBuild * t / threads;
-        const int64_t end = kLargeBuild * (t + 1) / threads;
-        for (int64_t base = begin; base < end; base += kChunkCapacity) {
-          Chunk chunk;
-          chunk.n = static_cast<int>(
-              std::min<int64_t>(kChunkCapacity, end - base));
-          chunk.cols = {
-              Vector{LogicalType::kInt64, in->orderkey.data() + base},
-              Vector{LogicalType::kInt64, in->suppkey.data() + base}};
-          sink.Consume(chunk, ctx);
-          ctx.arena.Reset();
-        }
-      });
-      mat_ns += ns_since(start);
-
-      const Clock::time_point fin = Clock::now();
-      {
-        ExecContext ctx;
-        ctx.worker = &wctx[0];
-        sink.Finalize(ctx);
-      }
-      fin_ns += ns_since(fin);
-
-      const Clock::time_point ins = Clock::now();
-      HashInsertJob insert(nullptr, "insert", join.get(), {});
-      parallel([&](int t) {
-        const RowBuffer* buf = join->buffer_by_index(t);
-        if (buf == nullptr) return;
-        constexpr uint64_t kMorsel = 100'000;
-        for (uint64_t b = 0; b < buf->rows(); b += kMorsel) {
-          Morsel m;
-          m.partition = t;
-          m.begin = b;
-          m.end = std::min<uint64_t>(buf->rows(), b + kMorsel);
-          insert.RunMorsel(m, wctx[t]);
-        }
-      });
-      ins_ns += ns_since(ins);
+          1, JoinKind::kInner, w.threads);
+      RunBuild(w, join.get(), {in->orderkey.data(), in->suppkey.data()},
+               kLargeBuild, step_ns);
       if (join->table()->LookupHead(
               TupleLayout::GetHash(join->buffer_by_index(0)->row(0)),
               true) == nullptr) {
         state.SkipWithError("inserted row not found");
       }
     }
-    const double elapsed = ns_since(start);
+    const double elapsed = NsSince(start);
     total_ns += elapsed;
     state.SetIterationTime(elapsed * 1e-9);
   }
   const double rows = static_cast<double>(kLargeBuild) *
                       static_cast<double>(state.iterations());
   state.counters["ns_per_row"] = total_ns / rows;
-  state.counters["materialize_ns_per_row"] = mat_ns / rows;
-  state.counters["finalize_ns_per_row"] = fin_ns / rows;
-  state.counters["insert_ns_per_row"] = ins_ns / rows;
+  state.counters["materialize_ns_per_row"] = step_ns[0] / rows;
+  state.counters["finalize_ns_per_row"] = step_ns[1] / rows;
+  state.counters["insert_ns_per_row"] = step_ns[2] / rows;
   state.SetItemsProcessed(state.iterations() * kLargeBuild);
 }
 BENCHMARK(BM_JoinBuildLarge)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+// --- semi join: which side to build -----------------------------------------
+//
+// Q21's l2 semi join at SF 1: the right side is the 6M-row
+// (l_orderkey, l_suppkey) input above, the left side 74,378 rows whose
+// order keys all occur on the right, and the residual is the right
+// supplier differing from the left one. Both arms produce the same left
+// rows:
+//   side:0  build right (the plan without a side decision): materialize
+//           and insert the 6M rows, probe them with the 74k (kSemi);
+//   side:1  build left, probe with marks: materialize and insert the
+//           74k, probe them with the 6M in mark-only mode (kRightSemi),
+//           then drain the marked tuples through BuildTupleSource.
+// Counters: ns per right-side row in total and for the build and the
+// probe (drain included) steps.
+
+constexpr int64_t kSemiLeft = 74'378;
+
+struct SemiLeftInput {
+  std::vector<int64_t> orderkey, suppkey;
+  int64_t expect = 0;  // left rows with a qualifying right row
+  explicit SemiLeftInput(const LargeBuildInput& right)
+      : orderkey(kSemiLeft), suppkey(kSemiLeft) {
+    Rng rng(4);
+    for (int64_t i = 0; i < kSemiLeft; ++i) {
+      orderkey[i] = right.orderkey[rng.Uniform(0, kLargeBuild - 1)];
+      suppkey[i] = rng.Uniform(1, 10000);
+      // Right row r has key r / 4 * 32 + [0, 7]: key k can only sit in
+      // rows k / 32 * 4 .. + 3.
+      const int64_t first = orderkey[i] / 32 * 4;
+      bool match = false;
+      for (int64_t r = first; r < first + 4 && r < kLargeBuild; ++r) {
+        match = match || (right.orderkey[r] == orderkey[i] &&
+                          right.suppkey[r] != suppkey[i]);
+      }
+      expect += match ? 1 : 0;
+    }
+  }
+};
+
+// Counts rows reaching the end of a pipeline, per worker.
+struct CountSink final : Sink {
+  explicit CountSink(int threads) : rows(threads, 0) {}
+  void Consume(Chunk& chunk, ExecContext& ctx) override {
+    rows[ctx.worker->worker_id] += chunk.ActiveRows();
+  }
+  int64_t Total() const {
+    int64_t n = 0;
+    for (int64_t r : rows) n += r;
+    return n;
+  }
+  std::vector<int64_t> rows;
+};
+
+void BM_SemiJoinSides(benchmark::State& state) {
+  static LargeBuildInput* right = new LargeBuildInput();
+  static SemiLeftInput* left = new SemiLeftInput(*right);
+  const bool build_left = state.range(0) == 1;
+  BenchWorkers w(static_cast<int>(state.range(1)));
+  const std::vector<const int64_t*> rcols = {right->orderkey.data(),
+                                             right->suppkey.data()};
+  const std::vector<const int64_t*> lcols = {left->orderkey.data(),
+                                             left->suppkey.data()};
+  const std::vector<LogicalType> types = {LogicalType::kInt64,
+                                          LogicalType::kInt64};
+  double build_ns = 0, probe_ns = 0, total_ns = 0;
+  for (auto _ : state) {
+    const Clock::time_point start = Clock::now();
+    CountSink out(w.threads);
+    {
+      auto join = std::make_unique<JoinState>(
+          types, 1, build_left ? JoinKind::kRightSemi : JoinKind::kSemi,
+          w.threads);
+      double step_ns[3] = {0, 0, 0};
+      RunBuild(w, join.get(), build_left ? lcols : rcols,
+               build_left ? kSemiLeft : kLargeBuild, step_ns);
+      build_ns += step_ns[0] + step_ns[1] + step_ns[2];
+
+      // Residual over the probe's combined chunk [probe key, probe
+      // supplier, build supplier] (side 0) or [right key, right
+      // supplier, left key, left supplier] (side 1).
+      const Clock::time_point probe = Clock::now();
+      std::vector<int> fields = build_left ? std::vector<int>{0, 1}
+                                           : std::vector<int>{1};
+      const int other = build_left ? 3 : 2;
+      // Side 0 emits the surviving left rows into `out`; side 1 marks.
+      CountSink marks(w.threads);
+      std::vector<std::unique_ptr<Operator>> ops;
+      ops.push_back(std::make_unique<HashProbeOp>(
+          join.get(), std::vector<int>{0}, fields,
+          Ne(ColRef(1, LogicalType::kInt64),
+             ColRef(other, LogicalType::kInt64))));
+      Pipeline probe_pipe(nullptr, std::move(ops),
+                          build_left ? &marks : &out);
+      w.ForEachSlice(build_left ? rcols : lcols,
+                     build_left ? kLargeBuild : kSemiLeft,
+                     [&](Chunk& chunk, ExecContext& ctx) {
+                       probe_pipe.Push(chunk, 0, ctx);
+                     });
+      if (build_left) {
+        BuildTupleSource source(join.get(),
+                                BuildTupleSource::Mode::kMarked);
+        Pipeline drain(nullptr, {}, &out);
+        w.Parallel([&](int t) {
+          ExecContext ctx;
+          ctx.worker = &w.wctx[t];
+          const RowBuffer* buf = join->buffer_by_index(t);
+          if (buf == nullptr) return;
+          Morsel m;
+          m.partition = t;
+          m.begin = 0;
+          m.end = buf->rows();
+          source.RunMorsel(m, drain, ctx);
+        });
+      }
+      probe_ns += NsSince(probe);
+    }
+    const double elapsed = NsSince(start);
+    total_ns += elapsed;
+    state.SetIterationTime(elapsed * 1e-9);
+    benchmark::DoNotOptimize(out.Total());
+    if (out.Total() != left->expect) {
+      state.SkipWithError("semi join output differs from the reference");
+    }
+  }
+  const double rows = static_cast<double>(kLargeBuild) *
+                      static_cast<double>(state.iterations());
+  state.counters["ns_per_right_row"] = total_ns / rows;
+  state.counters["build_ns_per_right_row"] = build_ns / rows;
+  state.counters["probe_ns_per_right_row"] = probe_ns / rows;
+  state.counters["semi_rows"] = static_cast<double>(left->expect);
+  state.SetItemsProcessed(state.iterations() * kLargeBuild);
+}
+BENCHMARK(BM_SemiJoinSides)
+    ->ArgNames({"side", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -292,6 +292,8 @@ PlanBuilder& PlanBuilder::Join(
     std::function<ExprPtr(const ColScope&)> residual,
     std::optional<JoinStrategy> strategy) {
   MORSEL_CHECK(probe_keys.size() == build_keys.size());
+  MORSEL_CHECK_MSG(!IsMarkOnly(kind),
+                   "right semi/anti joins are chosen by lowering");
   MORSEL_CHECK_MSG(build.node_ != nullptr && !build.terminal_,
                    "join build side already terminated or built");
   // Resolve the names now so a malformed plan fails at build, not at

@@ -49,6 +49,14 @@ std::string FormatFrac(double v) {
   return buf;
 }
 
+// Right-side rows in a side-decision annotation: a plan estimate or a
+// scaled feeder count, so two significant digits.
+std::string FormatSci(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1e", v);
+  return buf;
+}
+
 const char* StrategyName(JoinStrategy s) {
   switch (s) {
     case JoinStrategy::kHash:
@@ -147,28 +155,32 @@ std::optional<Lowering::OpenPipe> Lowering::LowerNodes(
         break;
       case LogicalNode::Kind::kJoin: {
         OpenPipe build = LowerSubtree(n->build.get());
-        JoinStrategy s = n->strategy.has_value()
-                             ? *n->strategy
-                             : engine_->options().join_strategy;
-        if (s == JoinStrategy::kAdaptive && !n->probe_keys.empty() &&
-            allow_defer &&
-            (FeederPending(pipe) || FeederPending(build))) {
-          // Staged lowering: the inputs end in pipeline breakers that
-          // have not produced their cardinalities yet. Park both open
-          // pipes (and the rest of the spine) behind a placeholder job
-          // gated on those breakers; its Finalize re-enters here with
-          // the actual row counts and splices the chosen pipelines
-          // into the running QEP.
-          std::vector<int> deps = pipe.deps;
+        const JoinStrategy s = StrategyOf(n);
+        const bool side = allow_defer && SideCandidate(n, s, pipe, build);
+        if (side || (s == JoinStrategy::kAdaptive &&
+                     !n->probe_keys.empty() && allow_defer &&
+                     (FeederPending(pipe) || FeederPending(build)))) {
+          // Staged lowering: the decision needs cardinalities that
+          // pipeline breakers have not produced yet. Park the inputs
+          // (and the rest of the spine) behind a placeholder job gated
+          // on those breakers; its Finalize re-enters here with the
+          // actual row counts and splices the chosen pipelines into
+          // the running QEP. A side decision first materializes the
+          // left input, so its breaker is that materialization.
+          LeftBuild left;
+          if (side) left = CloseLeftBuild(n, pipe);
+          std::vector<int> deps =
+              side ? std::vector<int>{pipe.feeder_job} : pipe.deps;
           for (int d : build.deps) {
             if (std::find(deps.begin(), deps.end(), d) == deps.end()) {
               deps.push_back(d);
             }
           }
           auto dj = std::make_unique<AdaptiveDecisionJob>(
-              query_->context(), "adaptive-join-decide", this,
+              query_->context(),
+              side ? "join-side-decide" : "adaptive-join-decide", this,
               engine_->queue_options(), chain, i, std::move(pipe),
-              std::move(build));
+              std::move(build), std::move(left));
           EmitJob(std::move(dj), std::move(deps));
           return std::nullopt;
         }
@@ -200,8 +212,10 @@ void Lowering::Resume(AdaptiveDecisionJob* dj) {
   splice_gate_ = dj->pipeline_id;
   const LogicalNode* n = dj->chain_[dj->join_index_];
   OpenPipe pipe =
-      ResolveJoin(n, JoinStrategy::kAdaptive, std::move(dj->probe_),
-                  std::move(dj->build_), dj);
+      dj->left_build_.state != nullptr
+          ? ResolveSide(n, dj)
+          : ResolveJoin(n, JoinStrategy::kAdaptive, std::move(dj->probe_),
+                        std::move(dj->build_), dj);
   (void)LowerNodes(dj->chain_, dj->join_index_ + 1, std::move(pipe),
                    /*allow_defer=*/true);
   splice_gate_ = -1;
@@ -335,11 +349,153 @@ Lowering::OpenPipe Lowering::ResolveJoin(const LogicalNode* n,
   if (decision != nullptr && !annotation.empty()) {
     // Deferred joins report the decision on their placeholder's
     // ExplainPlan line; eager ones on the build-side close job.
-    decision->set_info(annotation);
+    AppendInfo(decision->pipeline_id, annotation);
     annotation.clear();
   }
   return LowerResolvedJoin(n, s, std::move(probe), std::move(build),
                            std::move(annotation));
+}
+
+JoinStrategy Lowering::StrategyOf(const LogicalNode* n) const {
+  return n->strategy.has_value() ? *n->strategy
+                                 : engine_->options().join_strategy;
+}
+
+bool Lowering::SideCandidate(const LogicalNode* n, JoinStrategy s,
+                             const OpenPipe& left,
+                             const OpenPipe& right) const {
+  if (n->join_kind != JoinKind::kSemi && n->join_kind != JoinKind::kAnti) {
+    return false;
+  }
+  if (s == JoinStrategy::kMerge) return false;
+  bool fb = false;
+  return SideRows(left, &fb) < SideRows(right, &fb);
+}
+
+Lowering::LeftBuild Lowering::CloseLeftBuild(const LogicalNode* n,
+                                             OpenPipe& left) {
+  FlushPendingFilter(left);
+  LeftBuild lb;
+  lb.fields.assign(left.names.size(), -1);
+  std::vector<ExprPtr> list;
+  std::vector<LogicalType> types;
+  auto add = [&](int col) {
+    list.push_back(ColRef(col, left.types[col]));
+    types.push_back(left.types[col]);
+    return static_cast<int>(list.size()) - 1;
+  };
+  for (const std::string& k : n->probe_keys) {
+    const int idx = left.Index(k);
+    const int f = add(idx);
+    if (lb.fields[idx] < 0) lb.fields[idx] = f;
+  }
+  for (size_t c = 0; c < left.names.size(); ++c) {
+    if (lb.fields[c] < 0) lb.fields[c] = add(static_cast<int>(c));
+  }
+  // Keys already leading, each once: the chunk is the layout as it is.
+  bool identity = list.size() == left.names.size();
+  for (size_t c = 0; identity && c < left.names.size(); ++c) {
+    identity = lb.fields[c] == static_cast<int>(c);
+  }
+  if (!identity) left.ops.push_back(std::make_unique<MapOp>(std::move(list)));
+  const JoinKind kind = n->join_kind == JoinKind::kSemi
+                            ? JoinKind::kRightSemi
+                            : JoinKind::kRightAnti;
+  lb.state = query_->Own<JoinState>(
+      std::move(types), static_cast<int>(n->probe_keys.size()), kind,
+      query_->num_worker_slots());
+  const int mat = ClosePipe(left, query_->Own<HashBuildSink>(lb.state),
+                            "join-build-left");
+  // The materialized rows are the left pipe from here: their count is
+  // exact once `mat` completes, and each storage area keeps the order
+  // its worker saw.
+  left.feeder_job = mat;
+  left.feeder_mult = 1.0;
+  left.order_feeder_cols.clear();
+  for (double& f : left.sorted_frac) {
+    if (f > 0.0) f *= kProbeOrderDecay;
+  }
+  return lb;
+}
+
+Lowering::OpenPipe Lowering::ResolveSide(const LogicalNode* n,
+                                         AdaptiveDecisionJob* dj) {
+  const LeftBuild& lb = dj->left_build_;
+  OpenPipe left = std::move(dj->probe_);
+  OpenPipe right = std::move(dj->build_);
+  const uint64_t left_rows = lb.state->build_rows();
+  bool right_fb = false;
+  const double right_rows = SideRows(right, &right_fb);
+  // The left rows are stored already: building on them costs their
+  // insert, building on the right costs materializing and inserting
+  // every right row. Flip unless the left side is the larger one.
+  const bool flip = static_cast<double>(left_rows) <= right_rows;
+  AppendInfo(dj->pipeline_id,
+             std::string("[side->") + (flip ? "left" : "right") +
+                 "-build: left=" + std::to_string(left_rows) +
+                 " right=" + FormatSci(right_rows) + " runtime]");
+  if (!flip) {
+    // Fall back: the stored left rows are the probe pipe, and the join
+    // resolves as if it had never deferred, but with the exact left
+    // count (hash vs merge for kAdaptive).
+    left.source = std::make_unique<BuildTupleSource>(
+        lb.state, BuildTupleSource::Mode::kAll, lb.fields);
+    left.name_prefix = "left-replay+";
+    return ResolveJoin(n, StrategyOf(n), std::move(left), std::move(right),
+                       dj);
+  }
+
+  const int insert_job = EmitJob(
+      std::make_unique<HashInsertJob>(query_->context(), "join-insert-left",
+                                      lb.state, engine_->queue_options()),
+      {});
+  FlushPendingFilter(right);
+  std::vector<int> probe_cols;
+  for (const std::string& k : n->build_keys) {
+    probe_cols.push_back(right.Index(k));
+  }
+  ExprPtr residual;
+  if (n->residual != nullptr) {
+    // Scope in the order the mark-only probe builds its combined chunk:
+    // the right columns, then the decoded left ones. A right column the
+    // unflipped scope does not show (not build payload, or shadowed by
+    // a left column of the same name) gets an empty name, so every name
+    // resolves to the column it resolves to on the unflipped join.
+    std::vector<std::string> rnames;
+    for (const std::string& r : right.names) {
+      const bool visible =
+          std::find(n->build_payload.begin(), n->build_payload.end(), r) !=
+              n->build_payload.end() &&
+          std::find(left.names.begin(), left.names.end(), r) ==
+              left.names.end();
+      rnames.push_back(visible ? r : std::string());
+    }
+    std::vector<LogicalType> rtypes = right.types;
+    rnames.insert(rnames.end(), left.names.begin(), left.names.end());
+    rtypes.insert(rtypes.end(), left.types.begin(), left.types.end());
+    residual = FoldConstants(
+        n->residual(ColScope(std::move(rnames), std::move(rtypes))));
+  }
+  right.ops.push_back(std::make_unique<HashProbeOp>(
+      lb.state, std::move(probe_cols),
+      residual != nullptr ? lb.fields : std::vector<int>{},
+      std::move(residual)));
+  right.deps.push_back(insert_job);
+  const int probe_job =
+      ClosePipe(right, query_->Own<DiscardSink>(), "join-mark-probe");
+
+  // The left pipe continues from its marked (semi) or unmarked (anti)
+  // tuples.
+  const bool semi = n->join_kind == JoinKind::kSemi;
+  left.source = std::make_unique<BuildTupleSource>(
+      lb.state,
+      semi ? BuildTupleSource::Mode::kMarked
+           : BuildTupleSource::Mode::kUnmarked,
+      lb.fields);
+  left.name_prefix = semi ? "right-semi-emit+" : "right-anti-emit+";
+  left.deps = {probe_job};
+  left.est_rows = static_cast<double>(left_rows);  // an upper bound
+  return left;
 }
 
 Lowering::JoinBuildPlan Lowering::PrepareJoinBuild(const LogicalNode* n,

@@ -15,6 +15,7 @@ namespace morsel {
 class Engine;
 class Query;
 class AdaptiveDecisionJob;
+class JoinState;
 class TableScanSource;
 
 // The physical lowering pass: walks an immutable LogicalPlan and
@@ -28,8 +29,11 @@ class TableScanSource;
 // rows_produced() (plus the propagated sortedness of the key columns),
 // re-decides hash vs merge with real cardinalities, and splices the
 // chosen join's pipelines — and the rest of the plan spine — into the
-// running QEP. With EngineOptions::runtime_feedback off, every
-// kAdaptive join resolves eagerly from the plan-time estimates.
+// running QEP. A semi/anti join whose left input is estimated smaller
+// than its right defers the same way, on the materialization of its
+// left input: the exact left count picks the side it builds on. With
+// EngineOptions::runtime_feedback off, every kAdaptive join resolves
+// eagerly from the plan-time estimates and no build side moves.
 //
 // One Lowering instance belongs to one Query (owned via Query::Own) and
 // must outlive all decision jobs it registered. At most one decision
@@ -107,6 +111,14 @@ class Lowering {
     int Index(const std::string& name) const;
   };
 
+  // Left input of a semi/anti join, materialized for the side decision:
+  // the marker-bearing join state its rows went into and, per left scope
+  // column, the layout field that holds it.
+  struct LeftBuild {
+    JoinState* state = nullptr;
+    std::vector<int> fields;
+  };
+
  private:
   friend class AdaptiveDecisionJob;
 
@@ -148,6 +160,21 @@ class Lowering {
   OpenPipe LowerResolvedJoin(const LogicalNode* n, JoinStrategy strategy,
                              OpenPipe probe, OpenPipe build,
                              std::string annotation);
+  JoinStrategy StrategyOf(const LogicalNode* n) const;
+
+  // Build-side choice for semi/anti joins (DESIGN §9). A candidate is a
+  // semi/anti join on the root spine, not forced to merge, whose left
+  // input is estimated smaller than its right.
+  bool SideCandidate(const LogicalNode* n, JoinStrategy s,
+                     const OpenPipe& left, const OpenPipe& right) const;
+  // Closes `left` into a marker-bearing HashBuildSink over [keys...,
+  // other columns...]. `left` keeps its scope and gets the
+  // materialization as its feeder.
+  LeftBuild CloseLeftBuild(const LogicalNode* n, OpenPipe& left);
+  // The side decision's Finalize: flips the join onto the left rows
+  // (mark-only probe by the right pipe, marked or unmarked tuples
+  // continue the spine) or replays them into ResolveJoin as the probe.
+  OpenPipe ResolveSide(const LogicalNode* n, AdaptiveDecisionJob* dj);
   void LowerOrderBy(const LogicalNode* n, OpenPipe pipe);
   void LowerCollect(const LogicalNode* n, OpenPipe pipe);
   void LowerExchangeSend(const LogicalNode* n, OpenPipe pipe);
@@ -199,26 +226,31 @@ class Lowering {
   int splice_gate_ = -1;
 };
 
-// Plan-time placeholder for a deferred adaptive join (staged lowering).
-// Has no morsels: it completes as soon as its dependencies — the
-// pipeline breakers feeding the join's inputs — have, and its Finalize
-// performs the strategy decision and splices the chosen pipelines into
-// the QEP. ExplainPlan shows the decision and whether runtime feedback
-// revised the plan-time choice via set_info.
+// Plan-time placeholder for a deferred join decision (staged lowering):
+// an adaptive join's strategy, or a semi/anti join's build side. Has no
+// morsels: it completes as soon as its dependencies — the pipeline
+// breakers feeding the join's inputs — have, and its Finalize performs
+// the decision and splices the chosen pipelines into the QEP.
+// ExplainPlan shows the decision and its inputs via set_info.
 class AdaptiveDecisionJob final : public PipelineJob {
  public:
+  // `left_build.state` set: a side decision, `probe` is the scope of the
+  // materialized left rows. Otherwise a strategy decision over two open
+  // pipes.
   AdaptiveDecisionJob(QueryContext* query, std::string name,
                       Lowering* lowering, MorselQueue::Options opts,
                       std::vector<const LogicalNode*> chain,
                       size_t join_index, Lowering::OpenPipe probe,
-                      Lowering::OpenPipe build)
+                      Lowering::OpenPipe build,
+                      Lowering::LeftBuild left_build = {})
       : PipelineJob(query, std::move(name)),
         lowering_(lowering),
         opts_(opts),
         chain_(std::move(chain)),
         join_index_(join_index),
         probe_(std::move(probe)),
-        build_(std::move(build)) {}
+        build_(std::move(build)),
+        left_build_(std::move(left_build)) {}
 
   void Prepare(const Topology& topo) override {
     set_queue(std::make_unique<MorselQueue>(
@@ -242,6 +274,7 @@ class AdaptiveDecisionJob final : public PipelineJob {
   size_t join_index_;                      // chain_[join_index_] is the join
   Lowering::OpenPipe probe_;
   Lowering::OpenPipe build_;
+  Lowering::LeftBuild left_build_;
 };
 
 }  // namespace morsel

@@ -37,9 +37,10 @@ void Query::SetPlan(const LogicalPlan& plan) {
   plan_ = plan;
   // Worst-case splice reservation for staged lowering: every remaining
   // node past a deferred join lowers at runtime, and a node produces at
-  // most 5 jobs (merge join: 2 materialize + 2 sort + a nested decision
-  // placeholder). Over-reserving costs pointer slots only.
-  qep_.ReserveSplice(5 * plan_.num_nodes() + 8);
+  // most 6 jobs (a side decision that falls back to a merge join: left
+  // materialize + its placeholder + 2 materialize + 2 sort).
+  // Over-reserving costs pointer slots only.
+  qep_.ReserveSplice(6 * plan_.num_nodes() + 8);
   Lowering* lowering = Own<Lowering>(this, plan_.root());
   // Lowering allocates operator state (per-worker row buffers, arenas),
   // so it runs governed like execution; a budget breach or injected

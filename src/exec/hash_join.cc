@@ -9,7 +9,9 @@ namespace morsel {
 
 namespace {
 
-bool NeedsMarker(JoinKind kind) { return kind == JoinKind::kRightOuterMark; }
+bool NeedsMarker(JoinKind kind) {
+  return kind == JoinKind::kRightOuterMark || IsMarkOnly(kind);
+}
 
 // Relaxed atomic view of a tuple's 8-byte marker slot.
 std::atomic<uint64_t>* MarkerOf(uint8_t* tuple, const TupleLayout& layout) {
@@ -98,7 +100,7 @@ void HashBuildSink::Consume(Chunk& chunk, ExecContext& ctx) {
   // Column at a time through the selection vector: materializing
   // row-wise anyway, a gather-compaction of every column first would be
   // pure overhead. AppendRows zero-fills, which clears next and the
-  // kRightOuterMark marker.
+  // match marker.
   const int active = chunk.ActiveRows();
   if (active == 0) return;
   const uint64_t* hashes = HashRowsPacked(chunk, key_cols_, ctx);
@@ -211,14 +213,19 @@ void HashProbeOp::FlushCandidates(const Chunk& in, const int32_t* cand_rows,
                                   int self_index) {
   if (count == 0) return;
   const TupleLayout& layout = state_->layout();
-  // Combined chunk: gathered probe columns + decoded build fields.
+  const JoinKind kind = state_->kind();
+  const bool emits = kind == JoinKind::kInner ||
+                     kind == JoinKind::kLeftOuter ||
+                     kind == JoinKind::kRightOuterMark;
+  // Combined chunk: gathered probe columns + decoded build fields. Kinds
+  // that only record matches need it just for the residual.
   Chunk combined;
-  GatherChunk(in, cand_rows, count, &ctx.arena, &combined);
-  DecodeRowsToColumns(layout, cand_tuples, count, build_output_fields_,
-                      &ctx.arena, &combined);
-
-  // Residual predicate over the combined rows.
   const int32_t* pass = nullptr;
+  if (emits || residual_ != nullptr) {
+    GatherChunk(in, cand_rows, count, &ctx.arena, &combined);
+    DecodeRowsToColumns(layout, cand_tuples, count, build_output_fields_,
+                        &ctx.arena, &combined);
+  }
   if (residual_ != nullptr) {
     Vector flags;
     residual_->Eval(combined, ctx, &flags);
@@ -231,7 +238,7 @@ void HashProbeOp::FlushCandidates(const Chunk& in, const int32_t* cand_rows,
     if (pass != nullptr && pass[i] == 0) continue;
     keep[surviving++] = i;
     if (matched != nullptr) matched[cand_rows[i]] = 1;
-    if (state_->kind() == JoinKind::kRightOuterMark) {
+    if (layout.has_marker()) {
       // "Before setting the marker it is advantageous to first check that
       // the marker is not yet set, to avoid unnecessary contention."
       auto* marker =
@@ -242,11 +249,9 @@ void HashProbeOp::FlushCandidates(const Chunk& in, const int32_t* cand_rows,
     }
   }
 
-  JoinKind kind = state_->kind();
-  if (kind == JoinKind::kSemi || kind == JoinKind::kAnti) {
-    return;  // only the match flags matter
-  }
-  if (surviving == 0) return;
+  // Semi/anti and the mark-only kinds: only match flags and markers
+  // matter.
+  if (!emits || surviving == 0) return;
   if (surviving == count) {
     pipeline.Push(combined, self_index + 1, ctx);
     return;
@@ -263,9 +268,12 @@ void HashProbeOp::ProbeBatched(const Chunk& chunk, const uint64_t* hashes,
   const TupleLayout& layout = state_->layout();
   const JoinKind kind = state_->kind();
   // Semi/anti without residual: first key match settles the probe row.
+  // Never for the mark-only kinds: a probe row marks every build tuple
+  // it matches.
   const bool settle_on_first =
       residual_ == nullptr &&
       (kind == JoinKind::kSemi || kind == JoinKind::kAnti);
+  const bool mark_only = IsMarkOnly(kind);
 
   // Stage 1: sweep all slot prefetches before the first slot is read, so
   // the (usually cold) hash-table lines stream in concurrently. The
@@ -332,8 +340,12 @@ void HashProbeOp::ProbeBatched(const Chunk& chunk, const uint64_t* hashes,
       chain_reads.Add(state_->SocketOfTuple(tuple, &socket_hint),
                       layout.row_size());
       bool settled = false;
+      // Mark-only: a tuple already marked needs no candidate, so its
+      // residual is not evaluated again.
       if (TupleLayout::GetHash(tuple) == hash &&
-          KeysEqual(chunk, row, tuple)) {
+          KeysEqual(chunk, row, tuple) &&
+          !(mark_only && MarkerOf(const_cast<uint8_t*>(tuple), layout)
+                             ->load(std::memory_order_relaxed) != 0)) {
         cand_rows[n_cand] = row;
         cand_tuples[n_cand] = tuple;
         if (++n_cand == kChunkCapacity) {
@@ -375,8 +387,9 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
   uint64_t* hashes = ctx.arena.AllocArray<uint64_t>(chunk.n);
   HashColumns(chunk, probe_key_cols_, /*packed=*/false, hashes);
   JoinKind kind = state_->kind();
-  const bool track_matches = kind != JoinKind::kInner &&
-                             kind != JoinKind::kRightOuterMark;
+  const bool track_matches = kind == JoinKind::kSemi ||
+                             kind == JoinKind::kAnti ||
+                             kind == JoinKind::kLeftOuter;
 
   uint8_t* matched = nullptr;
   if (track_matches) {
@@ -387,8 +400,7 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
   ProbeBatched(chunk, hashes, matched, ctx, pipeline, self_index);
 
   // Post-pass for kinds keyed on match existence.
-  if (kind == JoinKind::kSemi || kind == JoinKind::kAnti ||
-      kind == JoinKind::kLeftOuter) {
+  if (track_matches) {
     const bool want = kind == JoinKind::kSemi;
     int32_t* rows = ctx.arena.AllocArray<int32_t>(chunk.n);
     int count = 0;
@@ -407,35 +419,43 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
   }
 }
 
-std::vector<MorselRange> UnmatchedBuildSource::MakeRanges(
-    const Topology& topo) {
+BuildTupleSource::BuildTupleSource(JoinState* state, Mode mode,
+                                   std::vector<int> fields)
+    : state_(state), mode_(mode), fields_(std::move(fields)) {
+  MORSEL_CHECK(mode_ == Mode::kAll || state_->layout().has_marker());
+  if (fields_.empty()) {
+    for (int f = 0; f < state_->layout().num_fields(); ++f) {
+      fields_.push_back(f);
+    }
+  }
+}
+
+std::vector<MorselRange> BuildTupleSource::MakeRanges(const Topology& topo) {
   (void)topo;
   return state_->InsertRanges();
 }
 
-void UnmatchedBuildSource::RunMorsel(const Morsel& m, Pipeline& pipeline,
-                                     ExecContext& ctx) {
+void BuildTupleSource::RunMorsel(const Morsel& m, Pipeline& pipeline,
+                                 ExecContext& ctx) {
   RowBuffer* buf = state_->buffer_by_index(m.partition);
   const TupleLayout& layout = state_->layout();
-  MORSEL_CHECK(layout.has_marker());
-  std::vector<int> all_fields;
-  for (int f = 0; f < layout.num_fields(); ++f) all_fields.push_back(f);
-  const uint8_t** unmatched =
-      ctx.arena.AllocArray<const uint8_t*>(kChunkCapacity);
+  const uint8_t** rows = ctx.arena.AllocArray<const uint8_t*>(kChunkCapacity);
   for (uint64_t base = m.begin; base < m.end; base += kChunkCapacity) {
     uint64_t limit = std::min(base + kChunkCapacity, m.end);
     int count = 0;
     for (uint64_t i = base; i < limit; ++i) {
       uint8_t* row = buf->row(i);
-      if (MarkerOf(row, layout)->load(std::memory_order_relaxed) == 0) {
-        unmatched[count++] = row;
+      if (mode_ != Mode::kAll) {
+        const bool marked =
+            MarkerOf(row, layout)->load(std::memory_order_relaxed) != 0;
+        if (marked != (mode_ == Mode::kMarked)) continue;
       }
+      rows[count++] = row;
     }
     if (count == 0) continue;
     Chunk out;
     out.n = count;
-    DecodeRowsToColumns(layout, unmatched, count, all_fields, &ctx.arena,
-                        &out);
+    DecodeRowsToColumns(layout, rows, count, fields_, &ctx.arena, &out);
     ctx.traffic()->OnRead(ctx.socket(), buf->socket(),
                           uint64_t{static_cast<uint64_t>(count)} *
                               layout.row_size());

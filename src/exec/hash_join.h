@@ -21,9 +21,23 @@ enum class JoinKind {
   kLeftOuter,   // inner matches, plus probe rows without match padded
                 // with build-side type defaults (0 / empty string)
   kRightOuterMark,  // like inner, additionally sets the match marker on
-                    // matched build tuples; unmatched build tuples can be
-                    // emitted afterwards via UnmatchedBuildSource
+                    // matched build tuples. A plan-level join of this kind
+                    // lowers to exactly that: no pipeline emits the
+                    // unmatched build tuples (only exec-level callers
+                    // drain them, via BuildTupleSource::kUnmarked)
+  // Mark-only probes for a join built on its *left* input (DESIGN §3):
+  // the probe rows come from the right input, set the marker of every
+  // build tuple they match (after the residual) and emit nothing. A
+  // BuildTupleSource then emits the marked (right semi) or unmarked
+  // (right anti) build tuples. Chosen by lowering, never by a plan.
+  kRightSemi,
+  kRightAnti,
 };
+
+// True for the kinds whose probe only sets build-tuple markers.
+inline bool IsMarkOnly(JoinKind kind) {
+  return kind == JoinKind::kRightSemi || kind == JoinKind::kRightAnti;
+}
 
 // Shared state of one hash join: the build-side tuple storage areas (one
 // per worker, NUMA-local), the perfectly sized global tagged hash table,
@@ -136,7 +150,9 @@ class HashInsertJob final : public PipelineJob {
 // one pipeline). Emits input columns followed by the selected build
 // payload fields. An optional residual predicate is evaluated over the
 // combined row (input columns + emitted build fields) and filters
-// matches; for semi/anti/outer it participates in match existence.
+// matches; for semi/anti/outer it participates in match existence. For
+// the mark-only kinds it decides which build tuples get marked, and
+// `build_output_fields` are decoded for it alone.
 class HashProbeOp final : public Operator {
  public:
   HashProbeOp(JoinState* state, std::vector<int> probe_key_cols,
@@ -181,12 +197,15 @@ class HashProbeOp final : public Operator {
   ExprPtr residual_;
 };
 
-// Emits build tuples whose match marker is unset — the deferred side of a
-// right-outer join after a kRightOuterMark probe completed. Fields are
-// the build layout's fields.
-class UnmatchedBuildSource final : public Source {
+// Emits materialized build tuples once their probe (if any) completed:
+// all of them, the marked ones (right semi) or the unmarked ones (right
+// anti; the deferred side of a right-outer join). `fields` picks and
+// orders the decoded layout fields; empty means all, in layout order.
+class BuildTupleSource final : public Source {
  public:
-  explicit UnmatchedBuildSource(JoinState* state) : state_(state) {}
+  enum class Mode { kAll, kMarked, kUnmarked };
+
+  BuildTupleSource(JoinState* state, Mode mode, std::vector<int> fields = {});
 
   std::vector<MorselRange> MakeRanges(const Topology& topo) override;
   void RunMorsel(const Morsel& m, Pipeline& pipeline,
@@ -194,6 +213,8 @@ class UnmatchedBuildSource final : public Source {
 
  private:
   JoinState* state_;
+  Mode mode_;
+  std::vector<int> fields_;
 };
 
 }  // namespace morsel

@@ -63,6 +63,17 @@ class Sink {
   virtual std::string RuntimeInfo() const { return std::string(); }
 };
 
+// Terminal of a pipeline whose operators leave their effect elsewhere
+// (a mark-only join probe sets build-tuple markers): rows reaching it
+// are dropped.
+class DiscardSink final : public Sink {
+ public:
+  void Consume(Chunk& chunk, ExecContext& ctx) override {
+    (void)chunk;
+    (void)ctx;
+  }
+};
+
 // Source -> ops -> sink. The executable form of one of the paper's
 // pipeline segments; the one dispatcher every chunk moves through.
 class Pipeline {

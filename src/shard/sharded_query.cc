@@ -483,16 +483,19 @@ ShardedQuery::Part ShardedQuery::DistributeJoin(const LogicalNode* n) {
 
   // A replicated build side joins locally: every shard sees the whole
   // build input, and each probe row lives on exactly one shard. The
-  // exception is the build-driven kRightOuterMark — its unmatched-build
-  // emission would repeat per shard — unless the probe is replicated
-  // too (then the whole join is replicated).
+  // exception is kRightOuterMark unless the probe is replicated too
+  // (then the whole join is replicated). Lowering runs it as an inner
+  // join that only sets build markers, so nothing here emits unmatched
+  // build rows; the paths for it stay as conservative as an emission of
+  // them would need (it would repeat per shard).
   if (build_repl &&
       (n->join_kind != JoinKind::kRightOuterMark || probe_repl)) {
     LogLine("[join: local, build side replicated]");
     join_local(std::move(build));
     if (n->join_kind == JoinKind::kRightOuterMark) {
-      // Padded unmatched-build rows carry default probe keys; only the
-      // fully replicated property survives them.
+      // Conservative, as above: padded unmatched-build rows would carry
+      // default probe keys, and only the fully replicated property
+      // would survive them.
       probe.dist.kind = Dist::Kind::kReplicated;
       probe.dist.keys.clear();
     }
@@ -541,9 +544,9 @@ ShardedQuery::Part ShardedQuery::DistributeJoin(const LogicalNode* n) {
       probe.dist.keys == n->probe_keys;
   const double probe_est = EstimateRows(n->input.get());
   // Broadcast replays the build rows on every shard but leaves the
-  // probe side untouched; it is unsafe for kRightOuterMark (unmatched
-  // build rows would be emitted once per shard) and pointless when the
-  // probe is already partitioned on the join keys.
+  // probe side untouched; it is kept off kRightOuterMark (an emission of
+  // unmatched build rows would repeat once per shard) and pointless when
+  // the probe is already partitioned on the join keys.
   const bool broadcast =
       n->join_kind != JoinKind::kRightOuterMark && !probe_partitioned &&
       (build_rows <= kBroadcastRowsThreshold ||

@@ -211,7 +211,7 @@ TEST(BatchedProbe, RightOuterMarkMarksProbedTuples) {
 
   // Flush the unmatched build tuples.
   CollectSink unmatched;
-  UnmatchedBuildSource source(&state);
+  BuildTupleSource source(&state, BuildTupleSource::Mode::kUnmarked);
   Pipeline flush(nullptr, {}, &unmatched);
   for (const MorselRange& r : source.MakeRanges(topo)) {
     Morsel m;

@@ -147,8 +147,11 @@ TEST(DispatcherStress, RepeatedCancelAtRandomPhases) {
     // Cancellation lands anywhere from "before the first morsel" to
     // "after the last one".
     int64_t spin = rng.Uniform(0, 400);
-    for (volatile int64_t i = 0; i < spin * 1000; ++i) {
-    }
+    // The volatile store keeps the spin from being optimized away (a
+    // volatile loop counter's ++ is deprecated, -Wvolatile).
+    volatile int64_t spun = 0;
+    for (int64_t i = 0; i < spin * 1000; ++i) spun = i;
+    (void)spun;
     q->Cancel();
     q->Wait();
     if (q->context()->error().empty()) {

@@ -222,7 +222,7 @@ TEST(HashJoin, EmptyBuildSide) {
 
 TEST(HashJoin, RightOuterMarkerFlush) {
   // Exec-level test of the §4.1 marker technique: probe marks matched
-  // build tuples; UnmatchedBuildSource then yields the rest.
+  // build tuples; BuildTupleSource then yields the unmarked rest.
   const Topology& topo = SmallTopo();
   JoinState state({LogicalType::kInt64, LogicalType::kInt64}, 1,
                   JoinKind::kRightOuterMark, 2);
@@ -275,7 +275,7 @@ TEST(HashJoin, RightOuterMarkerFlush) {
 
   // Flush unmatched: must emit exactly the odd keys.
   CollectSink unmatched_collect;
-  UnmatchedBuildSource source(&state);
+  BuildTupleSource source(&state, BuildTupleSource::Mode::kUnmarked);
   std::vector<MorselRange> ranges = source.MakeRanges(topo);
   Pipeline flush(nullptr, {}, &unmatched_collect);
   for (const MorselRange& r : ranges) {
